@@ -2,7 +2,7 @@
 shift-map actions and path groupoids, computed by bounded enumeration.
 """
 
-from .degree import Degree, DegreeMonoid, NkMonoid
+from .degree import Degree
 from .kgraph import (
     ComposabilityError,
     FactorizationError,
@@ -19,7 +19,6 @@ from .pspace import (
     DescribedSequence,
     ExplicitSubset,
     Filter,
-    ProfiledSubset,
     bps_enumerate,
     compactness_probe,
     cylinder_membership,
@@ -56,11 +55,11 @@ from .spielberg import (
 from . import catalog
 
 __all__ = [
-    "Degree", "DegreeMonoid", "NkMonoid",
+    "Degree",
     "KGraph", "Morphism", "Name", "load_presentation",
     "KGraphError", "PresentationError", "ComposabilityError", "FactorizationError",
     "Verdict", "MceKind", "MceResult", "FaVerdict", "mce", "fa_at", "fa_set", "is_fa",
-    "Filter", "ExplicitSubset", "ProfiledSubset", "Cylinder", "DescribedSequence",
+    "Filter", "ExplicitSubset", "Cylinder", "DescribedSequence",
     "is_filter", "make_filter", "principal", "enumerate_filters", "ultrafilters",
     "cylinder_membership", "pointwise_limit", "ps_membership", "bps_enumerate",
     "compactness_probe",

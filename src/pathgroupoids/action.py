@@ -18,13 +18,12 @@ from .degree import Degree
 from .kgraph import FactorizationError, KGraph, KGraphError, Morphism
 from .pspace import (
     Cylinder,
-    DescribedSequence,
     Filter,
-    FilterList,
     LimitOutcome,
     cylinder,
     declared_sequences,
     default_probe,
+    disjoint_limit,
     enumerate_filters,
     in_ps,
     pointwise_limit,
@@ -47,19 +46,7 @@ def shift_off(lam: Morphism, x: Filter) -> Filter:
     graph = x.graph
     if not x.contains(lam):
         raise ShiftDomainError(f"{lam} is not in the filter {x}")
-    out = []
-    for kappa in x.elements:
-        if not graph.prefix_leq(lam, kappa):
-            continue
-        try:
-            prefix, tail = graph.factorize(kappa, lam.degree)
-            if prefix == lam:
-                out.append(tail)
-        except FactorizationError:
-            for tail in graph.fiber(lam.source, kappa.degree.sub(lam.degree)).elements:
-                if graph.compose(lam, tail) == kappa:
-                    out.append(tail)
-    return Filter(graph, out)
+    return Filter(graph, [tail for kappa in x.elements for tail in graph.tails(lam, kappa)])
 
 
 def shift_on(lam: Morphism, x: Filter) -> Filter:
@@ -97,7 +84,7 @@ def domain_membership(x: Filter, m: Degree) -> DomainAnswer:
     w = degree_witness(x, m)
     if w is None:
         return DomainAnswer(False)
-    return DomainAnswer(True, w, cylinder(w, space="PS"))
+    return DomainAnswer(True, w, cylinder(w))
 
 
 @dataclass
@@ -352,11 +339,10 @@ def check_shift_continuity(graph: KGraph, bound: Degree) -> dict:
         terms = seq.terms()
         if lim_ok:
             lim = Filter(graph, res.limit.elements)
-            common = set.intersection(*[set(t.elements) for t in terms]) & set(lim.elements)
+            common = disjoint_limit(terms) & lim.elements
             for lam in sorted(common, key=Morphism.sort_key):
                 shifted = [shift_off(lam, Filter(graph, t.elements)) for t in terms]
-                fam_like = _limit_of(graph, shifted, bound)
-                agrees = fam_like == set(shift_off(lam, lim).elements)
+                agrees = disjoint_limit(shifted) == shift_off(lam, lim).elements
                 results["left"].append(
                     {"family": seq.description, "prefix": str(lam), "commutes": agrees}
                 )
@@ -366,8 +352,8 @@ def check_shift_continuity(graph: KGraph, bound: Degree) -> dict:
                 if lam.source != lim.range or lam.is_unit():
                     continue
                 shifted = [shift_on(lam, Filter(graph, t.elements)) for t in terms]
-                fam_lim = _limit_of(graph, shifted, bound)
-                image = set(shift_on(lam, lim).elements)
+                fam_lim = disjoint_limit(shifted)
+                image = shift_on(lam, lim).elements
                 results["right"].append(
                     {
                         "family": seq.description,
@@ -378,9 +364,3 @@ def check_shift_continuity(graph: KGraph, bound: Degree) -> dict:
                     }
                 )
     return results
-
-
-def _limit_of(graph: KGraph, term_filters: list[Filter], bound: Degree) -> set[Morphism]:
-    """Pointwise limit of an explicit list of filters, disjoint-family
-    style: the stable intersection."""
-    return set.intersection(*[set(t.elements) for t in term_filters])

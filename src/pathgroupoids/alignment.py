@@ -54,7 +54,7 @@ class FaVerdict:
     record: dict = field(default_factory=dict)
 
 
-def _side_extensions(graph: KGraph, mu: Morphism, nu: Morphism, l: Degree):
+def _mce_from_side(graph: KGraph, mu: Morphism, nu: Morphism, l: Degree):
     """Common extensions of degree l found from mu's side, plus the
     exactness flag of the fiber that was searched."""
     fib = graph.fiber(mu.source, l.sub(mu.degree))
@@ -77,10 +77,10 @@ def mce(mu: Morphism, nu: Morphism) -> MceResult:
     if mu.range != nu.range:
         return MceResult(MceKind.EXACT_FINITE, ())
     l = mu.degree.lub(nu.degree)
-    mu_side, mu_exact = _side_extensions(graph, mu, nu, l)
+    mu_side, mu_exact = _mce_from_side(graph, mu, nu, l)
     if mu_exact:
         return MceResult(MceKind.EXACT_FINITE, tuple(sorted(set(mu_side), key=Morphism.sort_key)))
-    nu_side, nu_exact = _side_extensions(graph, nu, mu, l)
+    nu_side, nu_exact = _mce_from_side(graph, nu, mu, l)
     if nu_exact:
         return MceResult(MceKind.EXACT_FINITE, tuple(sorted(set(nu_side), key=Morphism.sort_key)))
     elements = tuple(sorted(set(mu_side) | set(nu_side), key=Morphism.sort_key))
@@ -122,14 +122,6 @@ def is_fa(m: Morphism) -> Verdict:
     return Verdict.FALSE if ann.fa_excluded(m) else Verdict.TRUE
 
 
-def _extensions(graph: KGraph, lam: Morphism, bound: Degree) -> list[Morphism]:
-    return graph.right_ideal(lam, bound)
-
-
-def _candidates(graph: KGraph, rng, bound: Degree) -> list[Morphism]:
-    return [n for n in graph.enumerate_morphisms(bound).morphisms if n.range == rng]
-
-
 def fa_at(lam: Morphism, bound: Degree) -> FaVerdict:
     """Is the graph finitely aligned at lam?
 
@@ -138,9 +130,11 @@ def fa_at(lam: Morphism, bound: Degree) -> FaVerdict:
     """
     graph = lam.graph
     if graph.is_finite:
+        top = _max_degree(graph)
+        candidates = [n for n in graph.enumerate_morphisms(top).morphisms if n.range == lam.range]
         pairs = 0
-        for mu in graph.right_ideal(lam, _max_degree(graph)):
-            for nu in _candidates(graph, lam.range, _max_degree(graph)):
+        for mu in graph.right_ideal(lam, top):
+            for nu in candidates:
                 v = fa_at_pair(mu, nu)
                 assert v.value is Verdict.TRUE
                 pairs += 1
@@ -165,9 +159,10 @@ def fa_at(lam: Morphism, bound: Degree) -> FaVerdict:
             record={"mode": "annotation", "family": res.family},
         )
 
+    candidates = [n for n in graph.enumerate_morphisms(bound).morphisms if n.range == lam.range]
     pairs = unknown = 0
-    for mu in _extensions(graph, lam, bound):
-        for nu in _candidates(graph, lam.range, bound):
+    for mu in graph.right_ideal(lam, bound):
+        for nu in candidates:
             v = fa_at_pair(mu, nu)
             pairs += 1
             if v.value is Verdict.FALSE:
@@ -198,10 +193,6 @@ def _max_degree(graph: KGraph) -> Degree:
 def fa_set(graph: KGraph, bound: Degree) -> list[tuple[Morphism, FaVerdict]]:
     """fa_at mapped over the bounded enumeration."""
     return [(m, fa_at(m, bound)) for m in graph.enumerate_morphisms(bound).morphisms]
-
-
-def fa_members(graph: KGraph, bound: Degree) -> list[Morphism]:
-    return [m for m in graph.enumerate_morphisms(bound).morphisms if is_fa(m) is Verdict.TRUE]
 
 
 # -- structure of FA(Lambda) ----------------------------------------------
@@ -278,9 +269,13 @@ def _ok(bad: list) -> dict:
 def validate_constellation(graph: KGraph, bound: Degree) -> dict:
     """FA(Lambda) as a right constellation: closed under composition and
     source (the category laws are already covered by the kgraph suite)."""
-    structure = check_fa_structure(graph, bound)
+    return _constellation(check_fa_structure(graph, bound))
+
+
+def _constellation(structure: dict) -> dict:
+    """The constellation report read off a :func:`check_fa_structure` report."""
     report = {
-        "bound": bound.coords,
+        "bound": structure["bound"],
         "closed_under_composition": structure["right_ideal"],
         "closed_under_source": structure["closed_under_source"],
         "fa_size": structure["fa_size"],

@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import alignment as al
-from . import action as ac
 from . import catalog
 from . import groupoid as gp
 from . import pspace as ps
@@ -146,7 +145,7 @@ def cmd_align(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
         results["verdicts"] = [_verdict_json(m, v) for m, v in al.fa_set(graph, bound)]
     if args.structure:
         structure = al.check_fa_structure(graph, bound)
-        constellation = al.validate_constellation(graph, bound)
+        constellation = al._constellation(structure)
         relative = al.validate_relative_cop(graph, bound)
         results["fa_structure"] = _plain(structure)
         results["constellation"] = _plain(constellation)
@@ -185,7 +184,7 @@ def cmd_paths(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
         "boundary_path_space": _filters_json(bps.filters),
         "boundary_exact": bps.exact,
         "declared_families": families,
-        "basis_property": _plain(ps.check_basis_property(graph, bound, sample=40 + args.seed)),
+        "basis_property": _plain(ps.check_basis_property(graph, bound, seed=args.seed)),
         "ps_open": _plain(ps.check_ps_open(graph, bound)),
         "ps_characterisations": _plain(ps.check_ps_characterisations_agree(graph, bound)),
         "convergence": _plain(ps.check_convergence_decisions(graph, bound)),

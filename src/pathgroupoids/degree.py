@@ -1,15 +1,12 @@
-"""Degree monoids for higher-rank graphs.
+"""The degree monoid N^k of a higher-rank graph.
 
-The concrete monoid shipped here is N^k with coordinatewise order; the
-abstract base class is the seam where a general weakly quasi-lattice
-ordered pair (Q, P) could plug in later.  Group elements q = m - n are
-not materialised as objects: callers work with plain integer tuples in
-Z^k (see :meth:`Degree.minus`).
+Degrees are compared coordinatewise, and every pair has a least upper
+bound.  Group elements q = m - n are not materialised as objects:
+callers work with plain integer tuples in Z^k (see :meth:`Degree.minus`).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 
@@ -87,46 +84,3 @@ class Degree:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
-
-
-class DegreeMonoid(ABC):
-    """Interface for the positive cone P of a weakly quasi-lattice
-    ordered group (Q, P).  Only :class:`NkMonoid` is shipped."""
-
-    @abstractmethod
-    def zero(self) -> Degree: ...
-
-    @abstractmethod
-    def add(self, p: Degree, q: Degree) -> Degree: ...
-
-    @abstractmethod
-    def leq(self, p: Degree, q: Degree) -> bool: ...
-
-    @abstractmethod
-    def lub(self, p: Degree, q: Degree) -> Degree | None:
-        """Least common upper bound, or None when p and q have no
-        common upper bound at all."""
-
-
-class NkMonoid(DegreeMonoid):
-    """The monoid N^k.  Every pair has a least upper bound."""
-
-    def __init__(self, rank: int):
-        if rank < 1:
-            raise DegreeError(f"rank must be positive, got {rank}")
-        self.rank = rank
-
-    def zero(self) -> Degree:
-        return Degree.zero(self.rank)
-
-    def add(self, p: Degree, q: Degree) -> Degree:
-        return p.add(q)
-
-    def leq(self, p: Degree, q: Degree) -> bool:
-        return p.leq(q)
-
-    def lub(self, p: Degree, q: Degree) -> Degree:
-        return p.lub(q)
-
-    def __repr__(self) -> str:
-        return f"NkMonoid(rank={self.rank})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .alignment import Verdict, is_fa
 from .degree import Degree
@@ -20,8 +20,7 @@ from .kgraph import KGraph, KGraphError, Morphism
 from .pspace import (
     Filter,
     bps_enumerate,
-    cylinder_membership,
-    cylinder,
+    compactness_probe,
     declared_sequences,
     default_probe,
     in_ps,
@@ -31,11 +30,9 @@ from .pspace import (
     ps_filters,
 )
 from .action import (
-    NotInPathSpaceError,
     act,
     degree_witness,
     directed_witness,
-    shift_off,
     shift_on,
 )
 
@@ -230,18 +227,10 @@ def paired_fa_witnesses(
     wx, wy = degree_witness(g.x, m), degree_witness(g.y, n)
     w = act(g.x, m)
 
-    def tail_after(base: Morphism, kappa: Morphism, flt: Filter) -> Optional[Morphism]:
-        if not graph.prefix_leq(base, kappa):
-            return None
-        for tau in w.elements:
-            if graph.compose(base, tau) == kappa:
-                return tau
-        return None
-
-    # tails forced by the "above" constraints
+    # tails forced by the "above" constraints; each lies in w, the shift
+    # of either side by its witness
     needed: list[Morphism] = []
-    for side, base, targets in (("x", wx, above_x), ("y", wy, above_y)):
-        flt = g.x if side == "x" else g.y
+    for flt, base, targets in ((g.x, wx, above_x), (g.y, wy, above_y)):
         for t in targets:
             ext = next(
                 (
@@ -253,10 +242,7 @@ def paired_fa_witnesses(
             )
             if ext is None:
                 raise GroupoidError(f"{t} has no common extension with the witness in {flt}")
-            tau = tail_after(base, ext, w)
-            if tau is None:
-                raise GroupoidError(f"tail extraction failed for {ext}")
-            needed.append(tau)
+            needed.append(graph.tails(base, ext)[0])
 
     for tau in sorted(w.elements, key=Morphism.sort_key):
         if not all(graph.prefix_leq(t, tau) for t in needed):
@@ -349,6 +335,7 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
     round-trips and certificate re-verification."""
     elements = enumerate_pg(graph, bound)
     bad: list = []
+    coherence = 0
     for g in elements:
         verify_certificate(g)
         mu, nu, z = span_of(g)
@@ -365,14 +352,15 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
         r_unit, s_unit = element_structure(g)
         if compose_elements(r_unit, g) != g or compose_elements(g, s_unit) != g:
             bad.append(("unit law", str(g)))
+        # coherence (g.y == h.x iff s(g) == r(h)) holds for every pair once
+        # each element's range and source units sit at g.x and g.y
+        if not (r_unit.is_unit() and s_unit.is_unit() and r_unit.x == g.x and s_unit.x == g.y):
+            coherence += 1
 
     by_x: dict[Filter, list[GroupoidElement]] = {}
     for g in elements:
         by_x.setdefault(g.x, []).append(g)
     pairs = [(g, h) for g in elements for h in by_x.get(g.y, [])]
-    coherence = sum(
-        1 for g in elements for h in elements if (g.y == h.x) != _coherent(g, h)
-    )
     if coherence:
         bad.append(("coherence", coherence))
 
@@ -398,10 +386,6 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
         "associativity_triples": assoc_checked,
         "counterexamples": [str(b) for b in bad[:5]],
     }
-
-
-def _coherent(g: GroupoidElement, h: GroupoidElement) -> bool:
-    return element_structure(g)[1] == element_structure(h)[0]
 
 
 # -- topology evidence ---------------------------------------------------------
@@ -440,8 +424,6 @@ def hausdorff_ample_evidence(graph: KGraph, bound: Degree, sample: int = 60) -> 
     """Separation of distinct enumerated elements by provably disjoint
     basic sets (q-mismatch or an include/exclude pair), plus compactness
     flags on the basic unit sets from the escape-family prober."""
-    from .pspace import compactness_probe  # local import to avoid a cycle at load
-
     elements = enumerate_pg(graph, bound)
     pairs = list(itertools.combinations(elements, 2))
     step = max(1, len(pairs) // sample)

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .degree import Degree, NkMonoid
+from .degree import Degree
 
 
 class KGraphError(ValueError):
@@ -95,22 +95,10 @@ class Var:
     offset: int = 0
 
 
-IndexExpr = "Const | Var"
-
-
 @dataclass(frozen=True)
 class VertexPattern:
     base: str
     exprs: tuple[object, ...] = ()
-
-    def instantiate(self, assignment: tuple[int, ...]) -> Name:
-        idx = []
-        for e in self.exprs:
-            if isinstance(e, Const):
-                idx.append(e.value)
-            else:
-                idx.append(assignment[e.position] + e.offset)
-        return Name(self.base, tuple(idx))
 
     def match(self, vertex: Name, arity: int) -> Optional[dict[int, int]]:
         """Solve exprs == vertex.index; returns the partial variable
@@ -224,9 +212,9 @@ class EnumerationResult:
 class KGraph:
     """A k-graph (k <= 2) materialised from a skeleton with squares.
 
-    Immutable after construction; the memo tables are only ever filled
-    with values that are functions of immutable state, so concurrent
-    readers are safe.
+    Not thread-safe: reads fill unbounded memo tables, ``catalog`` sets
+    ``annotations`` after construction, and ``pspace`` keeps its
+    principal-filter and path-space caches as attributes of the graph.
     """
 
     def __init__(
@@ -244,7 +232,6 @@ class KGraph:
     ):
         self.name = name
         self.rank = rank
-        self.monoid = NkMonoid(rank)
         self.vertices: list[Name] = sorted(set(vertices))
         self.edges: dict[Name, Edge] = {}
         for e in edges:
@@ -422,12 +409,6 @@ class KGraph:
             self._compose_cache[key] = hit
         return hit
 
-    def compose_all(self, *parts: Morphism) -> Morphism:
-        out = parts[0]
-        for p in parts[1:]:
-            out = self.compose(out, p)
-        return out
-
     # -- factorisation --------------------------------------------------
 
     def factorize(self, lam: Morphism, p: Degree) -> tuple[Morphism, Morphism]:
@@ -491,19 +472,21 @@ class KGraph:
             raise FactorizationError(f"{lam} has ambiguous factorisations at degree {p}")
         return found[0]
 
+    def tails(self, mu: Morphism, lam: Morphism) -> list[Morphism]:
+        """Every nu with mu.nu = lam: the factorisation at d(mu) when it
+        exists, otherwise a search of the fiber below s(mu)."""
+        if not mu.degree.leq(lam.degree):
+            return []
+        try:
+            prefix, tail = self.factorize(lam, mu.degree)
+        except FactorizationError:
+            fib = self.fiber(mu.source, lam.degree.sub(mu.degree))
+            return [nu for nu in fib.elements if self.compose(mu, nu) == lam]
+        return [tail] if prefix == mu else []
+
     def prefix_leq(self, mu: Morphism, lam: Morphism) -> bool:
         """mu <= lam in the prefix order: mu.nu = lam for some nu."""
-        if mu.graph is not lam.graph:
-            return False
-        if not mu.degree.leq(lam.degree):
-            return False
-        try:
-            return self.factorize(lam, mu.degree)[0] == mu
-        except FactorizationError:
-            rest = lam.degree.sub(mu.degree)
-            return any(
-                self.compose(mu, nu) == lam for nu in self.fiber(mu.source, rest).elements
-            )
+        return mu.graph is lam.graph and bool(self.tails(mu, lam))
 
     def prefixes(self, lam: Morphism) -> list[Morphism]:
         """All prefixes of lam, one per degree below d(lam) when present."""

@@ -1,16 +1,15 @@
 """Filters, cylinder sets, pointwise limits, and the path spaces.
 
 Filters play the role of paths.  Everything here is computed on explicit
-finite filters (all catalog phenomena live on finite filters and
-N-indexed families of them); lazily profiled subsets exist for limits
-that have no finite description, and carry an honesty flag instead of a
-claim of completeness.
+finite filters: all catalog phenomena live on finite filters and
+N-indexed families of them.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -56,34 +55,6 @@ class ExplicitSubset:
         return "{" + ", ".join(str(m) for m in self) + "}"
 
 
-class ProfiledSubset:
-    """A lazily described subset: membership predicate plus an enumerator
-    that only ever yields members.  `finite` records the declared
-    cardinality, not an inference."""
-
-    __slots__ = ("graph", "description", "_contains", "_enumerate", "finite")
-
-    def __init__(self, graph, description, contains, enumerate_members, finite=False):
-        self.graph = graph
-        self.description = description
-        self._contains = contains
-        self._enumerate = enumerate_members
-        self.finite = finite
-
-    def contains(self, m: Morphism) -> bool:
-        return self._contains(m)
-
-    def enumerate_members(self, bound: Degree) -> list[Morphism]:
-        out = [m for m in self._enumerate(bound)]
-        bad = [m for m in out if not self.contains(m)]
-        if bad:
-            raise SubsetError(f"profiled enumerator yielded non-members: {bad[:3]}")
-        return sorted(set(out), key=Morphism.sort_key)
-
-    def __str__(self) -> str:
-        return f"<profiled {self.description}>"
-
-
 class Filter(ExplicitSubset):
     """An explicit finite filter; use :func:`make_filter` to validate."""
 
@@ -98,33 +69,19 @@ class Filter(ExplicitSubset):
         return (str(self.range), tuple(sorted(str(m) for m in self.elements)))
 
 
-def is_filter(view, bound: Degree | None = None) -> tuple[bool, Optional[str]]:
-    """Filter axioms with a counterexample message on failure.
-
-    Exact for explicit subsets; profiled subsets are checked on their
-    enumerated fragment below `bound`.
-    """
-    if isinstance(view, ProfiledSubset):
-        if bound is None:
-            raise SubsetError("profiled subsets need a bound to check")
-        elements = view.enumerate_members(bound)
-        graph = view.graph
-        fragment = True
-    else:
-        elements = sorted(view.elements, key=Morphism.sort_key)
-        graph = view.graph
-        fragment = False
+def is_filter(view: ExplicitSubset) -> tuple[bool, Optional[str]]:
+    """Filter axioms, exactly, with a counterexample message on failure."""
+    graph = view.graph
+    elements = sorted(view.elements, key=Morphism.sort_key)
     if not elements:
         return False, "empty"
     units = [m for m in elements if m.is_unit()]
     if len(units) != 1:
         return False, f"contains {len(units)} vertices, expected exactly one"
-    element_set = set(elements)
     for m in elements:
-        if not fragment:
-            for p in graph.prefixes(m):
-                if p not in element_set:
-                    return False, f"not hereditary: {p} below {m} is missing"
+        for p in graph.prefixes(m):
+            if p not in view.elements:
+                return False, f"not hereditary: {p} below {m} is missing"
     for a, b in itertools.combinations(elements, 2):
         if not any(
             graph.prefix_leq(a, c) and graph.prefix_leq(b, c) for c in elements
@@ -199,7 +156,6 @@ class Cylinder:
 
     include: tuple[Morphism, ...]
     exclude: tuple[Morphism, ...] = ()
-    space: str = "F"
 
     def __str__(self) -> str:
         inc = ",".join(str(m) for m in self.include)
@@ -213,8 +169,8 @@ class Cylinder:
         }
 
 
-def cylinder(m: Morphism, exclude: Iterable[Morphism] = (), space: str = "F") -> Cylinder:
-    return Cylinder((m,), tuple(exclude), space)
+def cylinder(m: Morphism, exclude: Iterable[Morphism] = ()) -> Cylinder:
+    return Cylinder((m,), tuple(exclude))
 
 
 def cylinder_membership(view, cyl: Cylinder) -> bool:
@@ -279,6 +235,12 @@ class LimitResult:
         return is_filter(self.limit)
 
 
+def disjoint_limit(terms: Iterable[ExplicitSubset]) -> frozenset[Morphism]:
+    """The pointwise limit of a disjoint family: the elements that every
+    term shares."""
+    return frozenset.intersection(*(t.elements for t in terms))
+
+
 def pointwise_limit(seq: DescribedSequence, probe: Iterable[Morphism]) -> LimitResult:
     """Decide eventual membership per probe element under the tail rule.
 
@@ -302,7 +264,7 @@ def pointwise_limit(seq: DescribedSequence, probe: Iterable[Morphism]) -> LimitR
     complete = True
 
     if fam.flavor == "disjoint":
-        limit_elems = frozenset.intersection(*[t.elements for t in terms])
+        limit_elems = disjoint_limit(terms)
         for m in probe:
             support = sum(1 for t in terms if t.contains(m))
             if support == n_terms:
@@ -527,9 +489,10 @@ def check_ps_characterisations_agree(graph: KGraph, bound: Degree) -> dict:
     return {"ok": not bad, "checked": checked, "counterexamples": bad[:3]}
 
 
-def check_basis_property(graph: KGraph, bound: Degree, sample: int = 40) -> dict:
+def check_basis_property(graph: KGraph, bound: Degree, seed: int = 0) -> dict:
     """Basis check on the filter space: every filter inside Z(K1\\K2)
-    with K1 nonempty sits inside some Z(mu\\K2) contained in it."""
+    with K1 nonempty sits inside some Z(mu\\K2) contained in it; `seed`
+    picks the pairs that get the pointwise containment spot-check."""
     filters = enumerate_filters(graph, bound).filters
     morphs = graph.enumerate_morphisms(bound).morphisms
     singles = [(m,) for m in morphs]
@@ -537,7 +500,7 @@ def check_basis_property(graph: KGraph, bound: Degree, sample: int = 40) -> dict
     k1s = singles + pairs
     k2s = [()] + singles
     bad, checked = [], 0
-    rng = _det_rng(sample)
+    rng = random.Random(seed).random
     for K1 in k1s:
         for K2 in k2s:
             for x in filters:
@@ -563,16 +526,6 @@ def _upper_bound_in(x: Filter, K1) -> Optional[Morphism]:
         if all(x.graph.prefix_leq(q, mu) for q in K1):
             return mu
     return None
-
-
-def _det_rng(seed: int):
-    state = [seed * 2654435761 % 2**32]
-
-    def nxt() -> float:
-        state[0] = (1103515245 * state[0] + 12345) % 2**31
-        return state[0] / 2**31
-
-    return nxt
 
 
 def check_ps_open(graph: KGraph, bound: Degree) -> dict:

@@ -22,7 +22,10 @@ from .pspace import (
     Cylinder,
     Filter,
     cylinder_membership,
+    disjoint_limit,
     enumerate_filters,
+    is_filter,
+    principal,
     ps_filters,
 )
 from .action import shift_off, shift_on
@@ -35,6 +38,11 @@ from .groupoid import (
     invert,
     make_element,
 )
+
+
+# exclusion sets K inside mu.Lambda are drawn from the first this many
+# elements of the ideal
+MAX_EXCLUSIONS = 12
 
 
 class UnsupportedDomainError(KGraphError):
@@ -86,9 +94,7 @@ def e_hat_membership(x: Filter, e: EHatSet) -> bool:
     return False
 
 
-def check_e_hat_equals_cylinders(
-    graph: KGraph, bound: Degree, max_exclusions: int = 12
-) -> dict:
+def check_e_hat_equals_cylinders(graph: KGraph, bound: Degree) -> dict:
     """Z_F(mu \\ K) = E-hat pointwise on every enumerated filter, for all
     mu and all K inside mu.Lambda within the bound (with mu in K giving
     the empty set on both sides)."""
@@ -96,9 +102,7 @@ def check_e_hat_equals_cylinders(
     morphs = graph.enumerate_morphisms(bound).morphisms
     bad, checked = [], 0
     for mu in morphs:
-        ideal = [m for m in morphs if graph.prefix_leq(mu, m)]
-        if len(ideal) > max_exclusions:
-            ideal = ideal[:max_exclusions]
+        ideal = [m for m in morphs if graph.prefix_leq(mu, m)][:MAX_EXCLUSIONS]
         for r in range(len(ideal) + 1):
             for K in itertools.combinations(ideal, r):
                 cyl = Cylinder((mu,), K)
@@ -275,7 +279,7 @@ def enumerate_triples(graph: KGraph, bound: Degree) -> list[SpielbergTriple]:
     return out
 
 
-def iso_check(graph: KGraph, bound: Degree, hom_sample: int = 0) -> dict:
+def iso_check(graph: KGraph, bound: Degree) -> dict:
     """The isomorphism as an exhaustive check at the bound: well-defined
     on equivalence classes, bijective onto the enumerated path-groupoid
     elements, compatible with composition and inversion, and carrying
@@ -330,8 +334,6 @@ def iso_check(graph: KGraph, bound: Degree, hom_sample: int = 0) -> dict:
     pairs = [
         (t1, t2) for t1 in canon for t2 in middles.get(shift_on(t1.beta, t1.x), [])
     ]
-    if hom_sample:
-        pairs = pairs[:: max(1, len(pairs) // hom_sample)]
     for t1, t2 in pairs:
         comp_checked += 1
         lhs = phi(sp_compose(t1, t2))
@@ -403,7 +405,7 @@ def relative_filter_space(graph: KGraph, bound: Degree) -> dict:
         down = [
             mu
             for mu in graph.prefixes(m)
-            if in_far(mu) and _tail_in(graph, mu, m, in_far)
+            if in_far(mu) and any(in_far(nu) for nu in graph.tails(mu, m))
         ]
         return Filter(graph, down)
 
@@ -413,22 +415,15 @@ def relative_filter_space(graph: KGraph, bound: Degree) -> dict:
     fam_limits_far: dict[str, Filter] = {}
     for fam in ann.filter_families:
         terms = [far_down(m) for m in fam.members()]
-        limit = frozenset.intersection(*[t.elements for t in terms])
-        lim_f = Filter(graph, limit)
+        lim_f = Filter(graph, disjoint_limit(terms))
         if lim_f in set(far_filters) and len({t for t in terms}) == len(terms):
             fam_limits_far[fam.description] = lim_f
 
     ps = ps_filters(graph, bound).filters
     fam_limits_ps: dict[str, Filter] = {}
     for fam in ann.filter_families:
-        from .pspace import principal, is_filter
-
-        terms = [principal(m) for m in fam.members()]
-        limit = frozenset.intersection(*[t.elements for t in terms])
-        ok, _ = is_filter(Filter(graph, limit))
-        if ok:
-            lim_f = Filter(graph, limit)
-            if lim_f in set(ps):
+        lim_f = Filter(graph, disjoint_limit(principal(m) for m in fam.members()))
+        if is_filter(lim_f)[0] and lim_f in set(ps):
                 fam_limits_ps[fam.description] = lim_f
 
     report = {
@@ -469,12 +464,3 @@ def relative_filter_space(graph: KGraph, bound: Degree) -> dict:
         far_filters
     ) and len(report["isolated_ps"]) + report["counts"][1] == len(ps_list)
     return report
-
-
-def _tail_in(graph: KGraph, mu: Morphism, m: Morphism, in_far) -> bool:
-    """Whether some tail nu with mu.nu = m lies in the subcategory."""
-    rest = m.degree.sub(mu.degree)
-    for nu in graph.fiber(mu.source, rest).elements:
-        if graph.compose(mu, nu) == m and in_far(nu):
-            return True
-    return False

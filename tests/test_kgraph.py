@@ -1,6 +1,12 @@
 import pytest
 
-from pathgroupoids.catalog import grid, lambda_tg, squares_graph
+from pathgroupoids.catalog import (
+    finite_examples,
+    grid,
+    lambda_tg,
+    lambda_tg_infinity,
+    squares_graph,
+)
 from pathgroupoids.degree import Degree
 from pathgroupoids.kgraph import (
     ComposabilityError,
@@ -147,6 +153,34 @@ def test_prefix_order_examples():
     assert g.prefix_leq(lam, lam)
     # alpha[1] is a final segment of lambda.alpha[1], not a prefix
     assert not g.prefix_leq(g.morphism("alpha[1]"), mb1)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    finite_examples() + [lambda_tg(3), lambda_tg_infinity(2, 2)],
+    ids=lambda g: g.name,
+)
+def test_tails_match_brute_force_over_the_fiber(graph):
+    """tails(mu, lam) is exactly the set of nu in the fiber below s(mu)
+    with mu.nu = lam, and prefix_leq is its non-emptiness."""
+    morphs = _bounded(graph)
+    fallbacks = 0
+    for mu in morphs:
+        for lam in morphs:
+            tails = graph.tails(mu, lam)
+            if not mu.degree.leq(lam.degree):
+                assert tails == [] and not graph.prefix_leq(mu, lam)
+                continue
+            try:
+                graph.factorize(lam, mu.degree)
+            except FactorizationError:
+                fallbacks += 1
+            fiber = graph.fiber(mu.source, lam.degree.sub(mu.degree)).elements
+            brute = [nu for nu in fiber if graph.compose(mu, nu) == lam]
+            assert sorted(tails, key=Morphism.sort_key) == brute, (str(mu), str(lam))
+            assert graph.prefix_leq(mu, lam) == bool(brute)
+    # the word category is where factorize gives up and tails searches
+    assert (fallbacks > 0) == (graph.name == "tg-infinity")
 
 
 # -- fibers and enumeration --------------------------------------------------

@@ -223,24 +223,6 @@ def test_convergence_decisions_match_raw_membership(tg3):
     assert ps.check_convergence_decisions(lambda_yee(2), Degree((1, 1)))["ok"]
 
 
-def test_profiled_subset_contract(tg3):
-    alpha = tg3.morphism("alpha[1]")
-    view = ps.ProfiledSubset(
-        tg3,
-        "prefixes of alpha[1]",
-        contains=lambda m: tg3.prefix_leq(m, alpha),
-        enumerate_members=lambda bound: [m for m in tg3.prefixes(alpha)],
-        finite=True,
-    )
-    assert view.contains(tg3.unit(tg3.vertex("w")))
-    assert ps.is_filter(view, bound=B22)[0]
-    lying = ps.ProfiledSubset(
-        tg3, "liar", contains=lambda m: False, enumerate_members=lambda b: [alpha]
-    )
-    with pytest.raises(ps.SubsetError):
-        lying.enumerate_members(B22)
-
-
 # -- path space -------------------------------------------------------------
 
 
