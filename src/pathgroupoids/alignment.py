@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .degree import Degree
-from .kgraph import KGraph, KGraphError, Morphism
+from .kgraph import KGraph, KGraphError, Morphism, per_graph
 
 
 class AnnotationError(KGraphError):
@@ -181,6 +181,7 @@ def fa_at(lam: Morphism, bound: Degree) -> FaVerdict:
     return FaVerdict(Verdict.UNKNOWN_AT_BOUND, record={"mode": "search", "pairs": pairs})
 
 
+@per_graph
 def _max_degree(graph: KGraph) -> Degree:
     """A degree bound that exhausts a finite graph."""
     coords = [0] * graph.rank

@@ -159,7 +159,8 @@ def cmd_paths(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
     psf = ps.ps_filters(graph, bound)
     ultra = ps.ultrafilters(graph, bound)
     bps = ps.bps_enumerate(graph, bound)
-    excluded = [x for x in filters.filters if x not in set(psf.filters)]
+    path_space = set(psf.filters)
+    excluded = [x for x in filters.filters if x not in path_space]
     families = []
     for seq in ps.declared_sequences(graph):
         res = ps.pointwise_limit(seq, ps.default_probe(graph, bound, seq))

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .alignment import Verdict, is_fa
 from .degree import Degree
-from .kgraph import KGraph, KGraphError, Morphism
+from .kgraph import KGraph, KGraphError, Morphism, per_graph
 from .pspace import (
     Filter,
     bps_enumerate,
@@ -158,6 +158,7 @@ def compose_elements(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
 # -- enumeration ------------------------------------------------------------
 
 
+@per_graph
 def enumerate_pg(graph: KGraph, bound: Degree) -> list[GroupoidElement]:
     """All elements with spans drawn from the bounded enumeration whose
     sides stay inside the enumerated filter fragment, deduped on

@@ -17,6 +17,7 @@ ambiguous prefixes honestly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -197,6 +198,25 @@ class Morphism:
         return f"<{self}: {self.source}->{self.range} d={self.degree}>"
 
 
+def per_graph(fn):
+    """Compute ``fn(obj, *args)`` once per graph, where `obj` is the graph
+    or one of its morphisms or filters, and keep the value in the graph's
+    memo table.  The value is shared: callers must not mutate it."""
+
+    @functools.wraps(fn)
+    def memoized(obj, *args):
+        graph = obj if isinstance(obj, KGraph) else obj.graph
+        key = (fn, obj, *args)
+        try:
+            return graph._memo[key]
+        except KeyError:
+            pass
+        value = graph._memo[key] = fn(obj, *args)
+        return value
+
+    return memoized
+
+
 @dataclass
 class FiberResult:
     elements: list[Morphism]
@@ -212,9 +232,13 @@ class EnumerationResult:
 class KGraph:
     """A k-graph (k <= 2) materialised from a skeleton with squares.
 
-    Not thread-safe: reads fill unbounded memo tables, ``catalog`` sets
-    ``annotations`` after construction, and ``pspace`` keeps its
-    principal-filter and path-space caches as attributes of the graph.
+    Not thread-safe: reads fill unbounded memo tables, and ``catalog``
+    sets ``annotations`` after construction.  Every cache is declared in
+    ``__init__``: the word-arithmetic caches, and ``_memo``, which holds
+    each :func:`per_graph` result of this module and of the modules
+    above it.  A memoised value that reads ``annotations`` (path-space
+    membership, the path groupoid) must not be computed before they are
+    set.
     """
 
     def __init__(
@@ -258,8 +282,10 @@ class KGraph:
 
         self._fiber_cache: dict[tuple[Name, tuple[int, ...]], FiberResult] = {}
         self._compose_cache: dict[tuple[Morphism, Morphism], Morphism] = {}
-        self._factor_cache: dict[tuple[Morphism, tuple[int, ...]], tuple[Morphism, Morphism]] = {}
+        # a unique factorisation, or the list the fiber search found
+        self._factor_cache: dict[tuple[Morphism, tuple[int, ...]], tuple | list] = {}
         self._prefix_cache: dict[Morphism, list[Morphism]] = {}
+        self._memo: dict[tuple, object] = {}
 
         if check:
             self.validate()
@@ -311,10 +337,9 @@ class KGraph:
             if not 1 <= e.color <= self.rank:
                 raise PresentationError(f"edge {e.name} has bad color {e.color}")
             for v in (e.source, e.range):
-                if v not in set(self.vertices):
+                if v not in self._vertex_set():
                     raise PresentationError(f"edge {e.name} references unknown vertex {v}")
-        vertex_set = set(self.vertices)
-        if vertex_set & set(self.edges):
+        if self._vertex_set() & set(self.edges):
             raise PresentationError("vertex and edge names must be disjoint")
         if self.rank == 2 and self.expect_complete:
             self._check_square_completeness()
@@ -337,8 +362,12 @@ class KGraph:
 
     # -- basic morphisms ------------------------------------------------
 
+    @per_graph
+    def _vertex_set(self) -> frozenset[Name]:
+        return frozenset(self.vertices)
+
     def unit(self, vertex: Name) -> Morphism:
-        if vertex not in set(self.vertices):
+        if vertex not in self._vertex_set():
             raise KGraphError(f"unknown vertex {vertex}")
         return Morphism(self, vertex, ())
 
@@ -348,7 +377,7 @@ class KGraph:
 
     def vertex(self, text: str) -> Name:
         v = parse_name(text)
-        if v not in set(self.vertices):
+        if v not in self._vertex_set():
             raise KGraphError(f"unknown vertex {text!r}")
         return v
 
@@ -358,7 +387,7 @@ class KGraph:
         text = text.strip()
         if "." not in text:
             n = parse_name(text)
-            if n in set(self.vertices):
+            if n in self._vertex_set():
                 return self.unit(n)
             if n in self.edges:
                 return self.edge_morphism(n)
@@ -425,8 +454,12 @@ class KGraph:
             try:
                 hit = self._factor_by_pulling(lam, p)
             except FactorizationError:
-                hit = self._factor_by_search(lam, p)
+                found = self._factor_by_search(lam, p)
+                hit = found[0] if len(found) == 1 else found
             self._factor_cache[key] = hit
+        if isinstance(hit, list):
+            how = "ambiguous factorisations" if hit else "no factorisation"
+            raise FactorizationError(f"{lam} has {how} at degree {p}")
         return hit
 
     def _pull_to_front(self, w: list[Name], j: int) -> None:
@@ -459,27 +492,32 @@ class KGraph:
         nu = self._from_word(tuple(w)) if w else self.unit(mu.source)
         return (mu, nu)
 
-    def _factor_by_search(self, lam: Morphism, p: Degree) -> tuple[Morphism, Morphism]:
-        """Enumeration fallback for words the squares cannot sort."""
+    def _factor_by_search(self, lam: Morphism, p: Degree) -> list[tuple[Morphism, Morphism]]:
+        """Enumeration fallback for words the squares cannot sort: every
+        (mu, nu) over the materialised fibers with mu.nu = lam."""
         found: list[tuple[Morphism, Morphism]] = []
         for mu in self.fiber(lam.range, p).elements:
             for nu in self.fiber(mu.source, lam.degree.sub(p)).elements:
                 if self.compose(mu, nu) == lam and (mu, nu) not in found:
                     found.append((mu, nu))
-        if not found:
-            raise FactorizationError(f"{lam} has no factorisation at degree {p}")
-        if len(found) > 1:
-            raise FactorizationError(f"{lam} has ambiguous factorisations at degree {p}")
-        return found[0]
+        return found
 
     def tails(self, mu: Morphism, lam: Morphism) -> list[Morphism]:
         """Every nu with mu.nu = lam: the factorisation at d(mu) when it
-        exists, otherwise a search of the fiber below s(mu)."""
+        exists, otherwise a search of the fiber below s(mu) unless the
+        failed factorisation already rules mu out."""
         if not mu.degree.leq(lam.degree):
             return []
         try:
             prefix, tail = self.factorize(lam, mu.degree)
         except FactorizationError:
+            # mu.nu has the range of mu, and a search that found nothing
+            # has tried every tail after every mu in lam's fiber
+            searched = self._factor_cache[(lam, mu.degree.coords)]
+            if mu.range != lam.range or (
+                not searched and mu in self.fiber(lam.range, mu.degree).elements
+            ):
+                return []
             fib = self.fiber(mu.source, lam.degree.sub(mu.degree))
             return [nu for nu in fib.elements if self.compose(mu, nu) == lam]
         return [tail] if prefix == mu else []
@@ -550,6 +588,7 @@ class KGraph:
         self._fiber_cache[key] = result
         return result
 
+    @per_graph
     def enumerate_morphisms(self, bound: Degree) -> EnumerationResult:
         """All morphisms of degree <= bound (within the enumeration window
         for block-truncated graphs)."""
@@ -569,6 +608,7 @@ class KGraph:
         return EnumerationResult(out, exact)
 
     @property
+    @per_graph
     def is_finite(self) -> bool:
         """True when the category itself is finite: no infinite families
         and an acyclic skeleton."""
@@ -593,6 +633,7 @@ class KGraph:
 
         return any(state.get(v) is None and visit(v) for v in self.vertices)
 
+    @per_graph
     def all_morphisms(self) -> list[Morphism]:
         """Exhaustive enumeration; only valid for finite categories."""
         if not self.is_finite:

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .alignment import Verdict, is_fa
 from .catalog import MorphismFamily
 from .degree import Degree
-from .kgraph import KGraph, Morphism
+from .kgraph import KGraph, Morphism, per_graph
 
 
 class SubsetError(ValueError):
@@ -101,18 +101,11 @@ def make_filter(graph: KGraph, elements: Iterable[Morphism]) -> Filter:
     return x
 
 
+@per_graph
 def principal(lam: Morphism) -> Filter:
     """The principal filter of all prefixes of lam (finite: degrees below
     d(lam) are finitely many and factorisation is unique per degree)."""
-    graph = lam.graph
-    cache = getattr(graph, "_principal_cache", None)
-    if cache is None:
-        cache = graph._principal_cache = {}
-    hit = cache.get(lam)
-    if hit is None:
-        hit = Filter(graph, graph.prefixes(lam))
-        cache[lam] = hit
-    return hit
+    return Filter(lam.graph, lam.graph.prefixes(lam))
 
 
 @dataclass
@@ -121,6 +114,7 @@ class FilterList:
     exact: bool
 
 
+@per_graph
 def enumerate_filters(graph: KGraph, bound: Degree) -> FilterList:
     """All filters over the bounded enumeration.
 
@@ -309,21 +303,10 @@ def default_probe(graph: KGraph, bound: Degree, seq: DescribedSequence) -> list[
 # -- path space and boundary-path space ------------------------------------
 
 
+@per_graph
 def ps_membership(x: Filter) -> tuple[Verdict, dict]:
     """Does x meet FA(Lambda)?  Certified through the stronger form: every
     element of x should admit an FA extension inside x."""
-    cache = getattr(x.graph, "_ps_cache", None)
-    if cache is None:
-        cache = x.graph._ps_cache = {}
-    hit = cache.get(x)
-    if hit is not None:
-        return hit
-    out = _ps_membership_uncached(x)
-    cache[x] = out
-    return out
-
-
-def _ps_membership_uncached(x: Filter) -> tuple[Verdict, dict]:
     verdicts = {m: is_fa(m) for m in x.elements}
     record: dict = {}
     if any(v is Verdict.TRUE for v in verdicts.values()):
@@ -349,6 +332,7 @@ def in_ps(x: Filter) -> bool:
     return ps_membership(x)[0] is Verdict.TRUE
 
 
+@per_graph
 def ps_filters(graph: KGraph, bound: Degree) -> FilterList:
     all_f = enumerate_filters(graph, bound)
     return FilterList([x for x in all_f.filters if in_ps(x)], all_f.exact)

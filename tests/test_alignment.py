@@ -4,7 +4,14 @@ import pytest
 
 from pathgroupoids import alignment as al
 from pathgroupoids.alignment import MceKind, Verdict
-from pathgroupoids.catalog import finite_examples, grid, lambda_tg, lambda_tg_infinity, lambda_yee
+from pathgroupoids.catalog import (
+    finite_examples,
+    grid,
+    lambda_tg,
+    lambda_tg_infinity,
+    lambda_yee,
+    squares_graph,
+)
 from pathgroupoids.degree import Degree
 from pathgroupoids.kgraph import load_presentation
 
@@ -104,6 +111,19 @@ def test_exact_mce_matches_ideal_intersection_on_finite_graphs():
             lhs = al.brute_ideal_intersection(g, mu, nu)
             rhs = al.brute_union_of_ideals(g, res.elements)
             assert lhs == rhs, (str(mu), str(nu))
+
+
+@pytest.mark.parametrize("maker", [lambda: grid(2), squares_graph])
+def test_exhaustive_fa_at_counts_every_pair(maker):
+    """On a finite graph fa_at(lam) pairs every mu in lam.Lambda with
+    every nu in r(lam).Lambda, counted here by exhaustive scan."""
+    g = maker()
+    morphs = g.all_morphisms()
+    for lam in morphs:
+        ideal = [m for m in morphs if g.prefix_leq(lam, m)]
+        same_range = [n for n in morphs if n.range == lam.range]
+        record = al.fa_at(lam, B22).record
+        assert record == {"mode": "exhaustive", "pairs": len(ideal) * len(same_range)}, str(lam)
 
 
 def test_mce_elements_have_lub_degree(tg):

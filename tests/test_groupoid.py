@@ -102,6 +102,14 @@ def test_bpg_membership(tg, u_filter):
     assert gp.bpg_membership(gp.unit_element(down_beta), B22)[0]
 
 
+def test_enumerate_pg_repeats_equal():
+    g = squares_graph()
+    first = gp.enumerate_pg(g, B22)
+    assert gp.enumerate_pg(g, B22) == first
+    cold = gp.enumerate_pg(squares_graph(), B22)
+    assert [str(e) for e in first] == [str(e) for e in cold]
+
+
 def test_enumerate_pg_is_deduplicated(tg):
     elements = gp.enumerate_pg(tg, B22)
     assert len(elements) == len(set(elements))

@@ -10,7 +10,10 @@ from pathgroupoids.catalog import (
 from pathgroupoids.degree import Degree
 from pathgroupoids.kgraph import (
     ComposabilityError,
+    Edge,
     FactorizationError,
+    KGraph,
+    KGraphError,
     Morphism,
     Name,
     PresentationError,
@@ -183,6 +186,53 @@ def test_tails_match_brute_force_over_the_fiber(graph):
     assert (fallbacks > 0) == (graph.name == "tg-infinity")
 
 
+def _no_call(*args):
+    raise AssertionError(f"unexpected call with {args}")
+
+
+def test_factorize_failures_are_cached(monkeypatch):
+    """A failed factorisation is remembered: a second pass over the
+    failing pairs of the word category neither searches again nor lets
+    tails scan a fiber for a mu the failure rules out."""
+    graph = lambda_tg_infinity(2, 2)
+    morphs = _bounded(graph)
+    failing = []
+    for mu in morphs:
+        for lam in morphs:
+            if mu.degree.leq(lam.degree):
+                try:
+                    graph.factorize(lam, mu.degree)
+                except FactorizationError:
+                    failing.append((mu, lam))
+    assert len(failing) == 96
+    monkeypatch.setattr(graph, "_factor_by_search", _no_call)
+    monkeypatch.setattr(graph, "compose", _no_call)
+    for mu, lam in failing:
+        with pytest.raises(FactorizationError, match="no factorisation"):
+            graph.factorize(lam, mu.degree)
+        assert graph.tails(mu, lam) == []
+
+
+def test_tails_trusts_a_search_that_found_nothing(monkeypatch):
+    """A word category with the bicolored path a.b in no square: c of
+    color 1 shares the range of a.b but is no prefix of it, which the
+    failed search already showed."""
+    n = {s: Name(s) for s in ("x", "y", "z", "p", "q", "a", "b", "c", "d")}
+    edges = [
+        Edge(n["a"], 2, n["y"], n["x"]),
+        Edge(n["b"], 1, n["z"], n["y"]),
+        Edge(n["c"], 1, n["p"], n["x"]),
+        Edge(n["d"], 2, n["q"], n["p"]),
+    ]
+    graph = KGraph("word", 2, [n[v] for v in "xyzpq"], edges, expect_complete=False)
+    ab, c = graph.morphism("a.b"), graph.morphism("c")
+    with pytest.raises(FactorizationError, match="no factorisation"):
+        graph.factorize(ab, c.degree)
+    monkeypatch.setattr(graph, "compose", _no_call)
+    assert graph.tails(c, ab) == []
+    assert not graph.prefix_leq(c, ab)
+
+
 # -- fibers and enumeration --------------------------------------------------
 
 
@@ -228,6 +278,47 @@ def test_enumerate_grid_matches_product_formula():
 
 def test_grid_total_count_is_36():
     assert len(grid(2).all_morphisms()) == 36
+
+
+# -- the per-graph memo table -------------------------------------------------
+
+
+def test_graph_facts_are_computed_once(monkeypatch):
+    calls = []
+    dfs = KGraph._skeleton_has_cycle
+
+    def counted(self):
+        calls.append(self)
+        return dfs(self)
+
+    monkeypatch.setattr(KGraph, "_skeleton_has_cycle", counted)
+    g = grid(2)
+    assert all(g.is_finite for _ in range(5))
+    morphs = g.all_morphisms()
+    assert g.all_morphisms() is morphs and len(morphs) == 36
+    assert calls == [g]
+
+
+@pytest.mark.parametrize("maker", [lambda: grid(2), lambda: lambda_tg(3)])
+def test_enumerate_morphisms_repeats_equal(maker):
+    g, bound = maker(), Degree((2, 2))
+    first = g.enumerate_morphisms(bound)
+    second = g.enumerate_morphisms(bound)
+    assert second.morphisms == first.morphisms and second.exact == first.exact
+    cold = maker().enumerate_morphisms(bound)
+    assert [str(m) for m in first.morphisms] == [str(m) for m in cold.morphisms]
+    assert first.exact == cold.exact
+
+
+def test_unknown_vertices_still_raise():
+    g = lambda_tg(2)
+    g.unit(g.vertex("v"))
+    with pytest.raises(KGraphError):
+        g.unit(Name("z"))
+    with pytest.raises(KGraphError):
+        g.vertex("z")
+    with pytest.raises(KGraphError):
+        g.morphism("z")
 
 
 # -- category laws ------------------------------------------------------------
