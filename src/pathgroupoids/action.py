@@ -15,7 +15,7 @@ from typing import Optional
 
 from .alignment import Verdict, is_fa
 from .degree import Degree
-from .kgraph import FactorizationError, KGraph, KGraphError, Morphism
+from .kgraph import FactorizationError, KGraph, KGraphError, Morphism, per_graph
 from .pspace import (
     Cylinder,
     Filter,
@@ -41,6 +41,7 @@ class NotInPathSpaceError(KGraphError):
     pass
 
 
+@per_graph
 def shift_off(lam: Morphism, x: Filter) -> Filter:
     """The left shift: {mu : lam.mu in x}.  Requires lam in x."""
     graph = x.graph
@@ -49,6 +50,7 @@ def shift_off(lam: Morphism, x: Filter) -> Filter:
     return Filter(graph, [tail for kappa in x.elements for tail in graph.tails(lam, kappa)])
 
 
+@per_graph
 def shift_on(lam: Morphism, x: Filter) -> Filter:
     """The right shift: everything below lam.mu for mu in x.  Requires
     s(lam) = r(x); need not preserve the path space."""
@@ -61,6 +63,7 @@ def shift_on(lam: Morphism, x: Filter) -> Filter:
     return Filter(graph, out)
 
 
+@per_graph
 def degree_witness(x: Filter, m: Degree) -> Optional[Morphism]:
     """The unique element of x of degree m, if any (d is injective on
     filters)."""
@@ -87,12 +90,13 @@ def domain_membership(x: Filter, m: Degree) -> DomainAnswer:
     return DomainAnswer(True, w, cylinder(w))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionValue:
     filter: Filter
     ps_verdict: Verdict
 
 
+@per_graph
 def act_flagged(x: Filter, m: Degree) -> ActionValue:
     verdict, _ = ps_membership(x)
     if verdict is Verdict.FALSE:
@@ -111,6 +115,11 @@ def act(x: Filter, m: Degree) -> Filter:
 def directed_witness(m: Degree, n: Degree, x: Filter) -> tuple[Degree, Morphism]:
     """For x in D_m and D_n, produce l = lub(m, n) and the element of x
     showing x in D_l (directedness of the filter supplies it)."""
+    return _directed_witness(x, m, n)
+
+
+@per_graph
+def _directed_witness(x: Filter, m: Degree, n: Degree) -> tuple[Degree, Morphism]:
     graph = x.graph
     wm, wn = degree_witness(x, m), degree_witness(x, n)
     if wm is None or wn is None:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 when an analysis found violations where none
-were expected, 2 on input errors.  JSON output is canonical (sorted
-keys, sorted lists), so identical configurations produce byte-identical
-reports.
+were expected, 2 on input errors.  The report's ``violations`` field
+counts the failed suites (1 for an invalid presentation).  JSON output
+is canonical (sorted keys, sorted lists), so identical configurations
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def cmd_validate(args, graph: KGraph | None, bound) -> tuple[dict, int]:
         try:
             graph = resolve_graph(args)
         except PresentationError as exc:
-            return {"valid": False, "diagnostic": str(exc)}, EXIT_VIOLATIONS
+            return {"valid": False, "diagnostic": str(exc)}, 1
     return (
         {
             "valid": True,
@@ -131,7 +132,7 @@ def cmd_validate(args, graph: KGraph | None, bound) -> tuple[dict, int]:
             "squares": len(graph.squares),
             "finite": graph.is_finite,
         },
-        EXIT_OK,
+        0,
     )
 
 
@@ -151,7 +152,7 @@ def cmd_align(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
         results["constellation"] = _plain(constellation)
         results["relative_category_of_paths"] = _plain(relative)
         violations += sum(not r["ok"] for r in (structure, constellation, relative))
-    return results, EXIT_VIOLATIONS if violations else EXIT_OK
+    return results, violations
 
 
 def cmd_paths(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
@@ -204,7 +205,7 @@ def cmd_paths(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
             "limit": ev.limit,
             "reason": ev.reason,
         }
-    return results, EXIT_VIOLATIONS if violations else EXIT_OK
+    return results, violations
 
 
 def cmd_groupoid(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
@@ -229,11 +230,11 @@ def cmd_groupoid(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
     if args.spielberg:
         iso = sp.iso_check(graph, bound)
         results["spielberg_isomorphism"] = _plain(iso)
-        violations += 0 if iso["ok"] else 1
+        violations += not iso["ok"]
     if getattr(args, "compare_relative", False):
         rel = sp.relative_filter_space(graph, bound)
         results["relative_comparison"] = _plain(rel)
-    return results, EXIT_VIOLATIONS if violations else EXIT_OK
+    return results, violations
 
 
 def render(report: dict, fmt: str) -> str:
@@ -295,7 +296,7 @@ def main(argv=None) -> int:
                 raise  # validate reports this itself; others treat it as input
         bound = resolve_bound(args, graph) if graph is not None else None
         config["bound"] = list(bound.coords) if bound is not None else []
-        results, code = handler(args, graph, bound)
+        results, violations = handler(args, graph, bound)
     except sp.UnsupportedDomainError as exc:
         print(f"unsupported domain: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -306,10 +307,10 @@ def main(argv=None) -> int:
         "command": args.command,
         "config": config,
         "results": results,
-        "violations": 0 if code == EXIT_OK else 1,
+        "violations": violations,
     }
     sys.stdout.write(render(report, args.format))
-    return code
+    return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
 if __name__ == "__main__":

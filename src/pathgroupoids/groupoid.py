@@ -59,7 +59,7 @@ class GroupoidElement:
         self._hash = hash((x, q, y))
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, GroupoidElement)
             and self.x == other.x
             and self.q == other.q
@@ -426,10 +426,10 @@ def hausdorff_ample_evidence(graph: KGraph, bound: Degree, sample: int = 60) -> 
     basic sets (q-mismatch or an include/exclude pair), plus compactness
     flags on the basic unit sets from the escape-family prober."""
     elements = enumerate_pg(graph, bound)
-    pairs = list(itertools.combinations(elements, 2))
-    step = max(1, len(pairs) // sample)
+    n = len(elements)
+    step = max(1, n * (n - 1) // 2 // sample)
     bad, checked = [], 0
-    for g, h in pairs[::step]:
+    for g, h in itertools.islice(itertools.combinations(elements, 2), 0, None, step):
         checked += 1
         bg, bh = separating_sets(g, h)
         if basic_set_membership(g, bh) or basic_set_membership(h, bg):

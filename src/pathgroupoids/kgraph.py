@@ -176,7 +176,7 @@ class Morphism:
         return not self.word
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Morphism)
             and self.graph is other.graph
             and self.range == other.range
@@ -201,7 +201,12 @@ class Morphism:
 def per_graph(fn):
     """Compute ``fn(obj, *args)`` once per graph, where `obj` is the graph
     or one of its morphisms or filters, and keep the value in the graph's
-    memo table.  The value is shared: callers must not mutate it."""
+    memo table.  The value is shared: callers must not mutate it.  Only
+    returned values are kept; an exception is raised again on every call.
+
+    The action layer keys its shifts here too: ``shift_off``,
+    ``shift_on``, ``degree_witness``, ``act_flagged`` (and so ``act``) and
+    the filter-first helper behind ``directed_witness``."""
 
     @functools.wraps(fn)
     def memoized(obj, *args):
@@ -236,9 +241,12 @@ class KGraph:
     sets ``annotations`` after construction.  Every cache is declared in
     ``__init__``: the word-arithmetic caches, and ``_memo``, which holds
     each :func:`per_graph` result of this module and of the modules
-    above it.  A memoised value that reads ``annotations`` (path-space
-    membership, the path groupoid) must not be computed before they are
-    set.
+    above it: graph facts and units, each (graph, bound) enumeration,
+    principal filters and path-space membership, and the action's shifts
+    (``shift_off``, ``shift_on``, ``degree_witness``, ``act_flagged`` and
+    the directedness witness).  A memoised value that reads
+    ``annotations`` (path-space membership, the action, the path
+    groupoid) must not be computed before they are set.
     """
 
     def __init__(
@@ -366,6 +374,7 @@ class KGraph:
     def _vertex_set(self) -> frozenset[Name]:
         return frozenset(self.vertices)
 
+    @per_graph
     def unit(self, vertex: Name) -> Morphism:
         if vertex not in self._vertex_set():
             raise KGraphError(f"unknown vertex {vertex}")

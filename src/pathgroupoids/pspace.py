@@ -42,7 +42,7 @@ class ExplicitSubset:
         return len(self.elements)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, ExplicitSubset)
             and self.graph is other.graph
             and self.elements == other.elements

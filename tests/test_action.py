@@ -1,11 +1,13 @@
+import dataclasses
+
 import pytest
 
 from pathgroupoids import action as ac
 from pathgroupoids import pspace as ps
 from pathgroupoids.alignment import Verdict
-from pathgroupoids.catalog import grid, lambda_tg
+from pathgroupoids.catalog import grid, lambda_tg, squares_graph
 from pathgroupoids.degree import Degree
-from pathgroupoids.kgraph import load_presentation
+from pathgroupoids.kgraph import KGraphError, load_presentation
 
 B22 = Degree((2, 2))
 
@@ -96,6 +98,61 @@ def test_directed_witness_examples(tg):
     assert l2 == Degree((1, 0)) and str(w2) == "lambda"
     l3, w3 = ac.directed_witness(Degree((0, 0)), Degree((0, 1)), pf)
     assert l3 == Degree((0, 1)) and str(w3) == "mu"
+
+
+def test_action_values_are_frozen(tg):
+    value = ac.act_flagged(ps.principal(tg.morphism("mu.beta[1]")), Degree((1, 0)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.filter = None
+
+
+# -- the per-graph memo -------------------------------------------------------
+
+
+def _directed_witness(x, m, n):
+    return ac.directed_witness(m, n, x)
+
+
+def _action_calls(graph, bound):
+    """(memoised function, public call, arguments of the memoised one)
+    over every enumerated (lam, x) and every (x, m), (x, m, n) with m, n
+    below the bound."""
+    filters = ps.enumerate_filters(graph, bound).filters
+    morphs = graph.enumerate_morphisms(bound).morphisms
+    degrees = bound.downset()
+    for x in filters:
+        for lam in morphs:
+            yield ac.shift_off, ac.shift_off, (lam, x)
+            yield ac.shift_on, ac.shift_on, (lam, x)
+        for m in degrees:
+            yield ac.degree_witness, ac.degree_witness, (x, m)
+            yield ac.act_flagged, ac.act_flagged, (x, m)
+            for n in degrees:
+                yield ac._directed_witness, _directed_witness, (x, m, n)
+
+
+@pytest.mark.parametrize(
+    "maker", [lambda: grid(2), squares_graph, lambda: lambda_tg(3)], ids=["grid", "squares", "tg"]
+)
+def test_action_memo_agrees_with_the_unmemoised_functions(maker):
+    """Each memoised value equals a fresh computation and is shared on a
+    repeat call; a domain error is never cached and raises every time."""
+    graph = maker()
+    returned = raised = 0
+    for memoised, public, args in _action_calls(graph, B22):
+        try:
+            want = memoised.__wrapped__(*args)
+        except KGraphError as exc:
+            for _ in range(2):
+                with pytest.raises(type(exc)):
+                    public(*args)
+            raised += 1
+            continue
+        got = public(*args)
+        assert got == want, (memoised.__name__, [str(a) for a in args])
+        assert public(*args) is got
+        returned += 1
+    assert returned and raised
 
 
 # -- exhaustive invariants ----------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 import jsonschema
 import pytest
 
+from pathgroupoids import groupoid
 from pathgroupoids.cli import main
 from pathgroupoids.schema import ELEMENT_SCHEMA, REPORT_SCHEMA, VERDICT_SCHEMA
 
@@ -126,6 +127,18 @@ def test_groupoid_spielberg_grid(capsys):
     report = json.loads(capsys.readouterr().out)
     iso = report["results"]["spielberg_isomorphism"]
     assert iso["ok"] and iso["bijection_count_match"]
+
+
+def test_violations_count_the_failed_suites(monkeypatch, capsys):
+    def failed(graph, bound, **kwargs):
+        return {"ok": False}
+
+    monkeypatch.setattr(groupoid, "axiom_suite", failed)
+    monkeypatch.setattr(groupoid, "unit_space_check", failed)
+    assert main(["groupoid", "--graph", "grid", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["violations"] == 2
 
 
 def test_groupoid_spielberg_gate(capsys):

@@ -312,9 +312,11 @@ def test_enumerate_morphisms_repeats_equal(maker):
 
 def test_unknown_vertices_still_raise():
     g = lambda_tg(2)
-    g.unit(g.vertex("v"))
-    with pytest.raises(KGraphError):
-        g.unit(Name("z"))
+    v = g.vertex("v")
+    assert g.unit(v) is g.unit(v) and g.unit(v) == Morphism(g, v, ())
+    for _ in range(2):
+        with pytest.raises(KGraphError):
+            g.unit(Name("z"))
     with pytest.raises(KGraphError):
         g.vertex("z")
     with pytest.raises(KGraphError):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pathgroupoids
 from pathgroupoids import action, cli
-from pathgroupoids.catalog import lambda_tg
+from pathgroupoids.catalog import grid, lambda_tg
 from pathgroupoids.degree import Degree
 from pathgroupoids.kgraph import KGraph
 
@@ -36,8 +36,8 @@ def test_no_function_level_relative_imports():
 
 def test_graph_caches_are_declared_in_init():
     """Every cache lives in a table that KGraph.__init__ declares: the
-    paths and groupoid suites add no attribute to the graph besides the
-    annotations that the catalog sets."""
+    paths, groupoid and Spielberg suites add no attribute to the graph
+    besides the annotations that the catalog sets."""
     graph = lambda_tg(3)
     bound = Degree((2, 2))
     parser = cli.build_parser()
@@ -48,5 +48,44 @@ def test_graph_caches_are_declared_in_init():
     for name in sorted(vars(action)):
         if name.startswith("check_"):
             getattr(action, name)(graph, bound)
+    square = grid(2)
+    cli.cmd_groupoid(
+        parser.parse_args(["groupoid", "--graph", "grid", "--spielberg"]), square, bound
+    )
     declared = set(vars(KGraph("empty", 1, [], [])))
     assert set(vars(graph)) == declared | {"annotations"}
+    assert set(vars(square)) == declared | {"annotations"}
+
+
+# per_graph finds the graph through the first argument's own ``graph``
+MEMO_KEY_TYPES = {"KGraph", "Morphism", "Filter"}
+
+
+def _per_graph_functions():
+    """(file, owning class or None, function) for every module-level
+    function and method in the package decorated with per_graph."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            for func in node.body:
+                if isinstance(func, ast.FunctionDef) and any(
+                    ast.unparse(d).split(".")[-1] == "per_graph" for d in func.decorator_list
+                ):
+                    yield path.name, owner, func
+
+
+def test_per_graph_keys_start_with_a_graph_object():
+    """per_graph reads the graph from its first argument, so that argument
+    must be a KGraph (``self`` in a KGraph method), a Morphism or a
+    Filter.  Any other first argument, a Degree say, would fail only at
+    the first call."""
+    found, bad = [], []
+    for filename, owner, func in _per_graph_functions():
+        first = func.args.args[0]
+        kind = owner if owner is not None else first.annotation and ast.unparse(first.annotation)
+        found.append(func.name)
+        if kind not in MEMO_KEY_TYPES:
+            bad.append(f"{filename}:{func.lineno} {func.name}({first.arg}: {kind})")
+    assert {"shift_off", "act_flagged", "_directed_witness", "unit"} <= set(found)
+    assert not bad, f"per_graph functions keyed by a non-graph object: {bad}"
