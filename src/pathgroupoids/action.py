@@ -350,7 +350,7 @@ def check_shift_continuity(graph: KGraph, bound: Degree) -> dict:
             lim = Filter(graph, res.limit.elements)
             common = disjoint_limit(terms) & lim.elements
             for lam in sorted(common, key=Morphism.sort_key):
-                shifted = [shift_off(lam, Filter(graph, t.elements)) for t in terms]
+                shifted = [shift_off(lam, t) for t in terms]
                 agrees = disjoint_limit(shifted) == shift_off(lam, lim).elements
                 results["left"].append(
                     {"family": seq.description, "prefix": str(lam), "commutes": agrees}
@@ -360,7 +360,7 @@ def check_shift_continuity(graph: KGraph, bound: Degree) -> dict:
             for lam in graph.enumerate_morphisms(bound).morphisms:
                 if lam.source != lim.range or lam.is_unit():
                     continue
-                shifted = [shift_on(lam, Filter(graph, t.elements)) for t in terms]
+                shifted = [shift_on(lam, t) for t in terms]
                 fam_lim = disjoint_limit(shifted)
                 image = shift_on(lam, lim).elements
                 results["right"].append(

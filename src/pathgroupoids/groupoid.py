@@ -159,23 +159,28 @@ def compose_elements(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
 
 
 @per_graph
-def enumerate_pg(graph: KGraph, bound: Degree) -> list[GroupoidElement]:
-    """All elements with spans drawn from the bounded enumeration whose
-    sides stay inside the enumerated filter fragment, deduped on
-    (x, q, y).  The restriction keeps the fragment closed under
-    composition and inversion."""
-    out: dict[GroupoidElement, GroupoidElement] = {}
+def spans(graph: KGraph, bound: Degree) -> list[tuple[Morphism, Morphism, Filter]]:
+    """Every span (mu, nu, z) over the bounded enumeration whose sides
+    shift_on(mu, z) and shift_on(nu, z) stay inside the enumerated path
+    space, in the order of z and then of the legs.  The restriction keeps
+    the fragment closed under composition and inversion."""
     morphs = graph.enumerate_morphisms(bound).morphisms
-    known = set(ps_filters(graph, bound).filters)
-    for z in sorted(known, key=Filter.sort_key):
-        sources = [m for m in morphs if m.source == z.range]
-        for mu, nu in itertools.product(sources, sources):
-            try:
-                g = make_element(mu, nu, z)
-            except SpanRejectedError:
-                continue
-            if g.x in known and g.y in known:
-                out.setdefault(g, g)
+    ps = ps_filters(graph, bound).filters
+    known = set(ps)
+    out = []
+    for z in ps:
+        legs = [m for m in morphs if m.source == z.range and shift_on(m, z) in known]
+        out.extend((mu, nu, z) for mu, nu in itertools.product(legs, legs))
+    return out
+
+
+@per_graph
+def enumerate_pg(graph: KGraph, bound: Degree) -> list[GroupoidElement]:
+    """The elements of every span, deduped on (x, q, y)."""
+    out: dict[GroupoidElement, GroupoidElement] = {}
+    for span in spans(graph, bound):
+        g = make_element(*span)
+        out.setdefault(g, g)
     return sorted(out.values(), key=GroupoidElement.sort_key)
 
 
@@ -298,8 +303,7 @@ def invariance_check(graph: KGraph, bound: Degree) -> dict:
     ]
     closed_bad = []
     for seq in declared_sequences(graph):
-        terms = [Filter(graph, t.elements) for t in seq.terms()]
-        if not all(t in bps for t in terms):
+        if not all(t in bps for t in seq.terms()):
             continue
         res = pointwise_limit(seq, default_probe(graph, bound, seq))
         if res.outcome is not LimitOutcome.CONVERGES or not res.complete:

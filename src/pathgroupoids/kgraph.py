@@ -199,14 +199,17 @@ class Morphism:
 
 
 def per_graph(fn):
-    """Compute ``fn(obj, *args)`` once per graph, where `obj` is the graph
-    or one of its morphisms or filters, and keep the value in the graph's
-    memo table.  The value is shared: callers must not mutate it.  Only
-    returned values are kept; an exception is raised again on every call.
+    """Compute ``fn(obj, *args)`` once per graph and keep the value in the
+    graph's memo table.  The contract of every memoised function:
 
-    The action layer keys its shifts here too: ``shift_off``,
-    ``shift_on``, ``degree_witness``, ``act_flagged`` (and so ``act``) and
-    the filter-first helper behind ``directed_witness``."""
+    - the key starts with a graph object: `obj` is the graph (``self`` of
+      a ``KGraph`` method) or one of its morphisms or filters;
+    - the value is shared between callers and never mutated;
+    - only returned values are kept: an exception is raised again on
+      every call;
+    - a value that reads ``annotations`` is computed only after the
+      catalog has set them.
+    """
 
     @functools.wraps(fn)
     def memoized(obj, *args):
@@ -237,16 +240,10 @@ class EnumerationResult:
 class KGraph:
     """A k-graph (k <= 2) materialised from a skeleton with squares.
 
-    Not thread-safe: reads fill unbounded memo tables, and ``catalog``
-    sets ``annotations`` after construction.  Every cache is declared in
-    ``__init__``: the word-arithmetic caches, and ``_memo``, which holds
-    each :func:`per_graph` result of this module and of the modules
-    above it: graph facts and units, each (graph, bound) enumeration,
-    principal filters and path-space membership, and the action's shifts
-    (``shift_off``, ``shift_on``, ``degree_witness``, ``act_flagged`` and
-    the directedness witness).  A memoised value that reads
-    ``annotations`` (path-space membership, the action, the path
-    groupoid) must not be computed before they are set.
+    Not thread-safe: reads fill an unbounded memo table, and ``catalog``
+    sets ``annotations`` after construction.  ``_memo`` is the graph's only
+    cache: :func:`per_graph` fills it, for this module and the modules
+    above it, under the contract stated there.
     """
 
     def __init__(
@@ -288,11 +285,6 @@ class KGraph:
         for lst in self._edges_by_range.values():
             lst.sort(key=lambda e: e.name)
 
-        self._fiber_cache: dict[tuple[Name, tuple[int, ...]], FiberResult] = {}
-        self._compose_cache: dict[tuple[Morphism, Morphism], Morphism] = {}
-        # a unique factorisation, or the list the fiber search found
-        self._factor_cache: dict[tuple[Morphism, tuple[int, ...]], tuple | list] = {}
-        self._prefix_cache: dict[Morphism, list[Morphism]] = {}
         self._memo: dict[tuple, object] = {}
 
         if check:
@@ -430,6 +422,7 @@ class KGraph:
                         changed = True
         return tuple(w)
 
+    @per_graph
     def compose(self, mu: Morphism, nu: Morphism) -> Morphism:
         """Concatenate and normalise; requires s(mu) = r(nu)."""
         if mu.graph is not self or nu.graph is not self:
@@ -440,12 +433,7 @@ class KGraph:
             return nu
         if nu.is_unit():
             return mu
-        key = (mu, nu)
-        hit = self._compose_cache.get(key)
-        if hit is None:
-            hit = self._from_word(mu.word + nu.word)
-            self._compose_cache[key] = hit
-        return hit
+        return self._from_word(mu.word + nu.word)
 
     # -- factorisation --------------------------------------------------
 
@@ -453,23 +441,25 @@ class KGraph:
         """The unique (mu, nu) with lam = mu.nu and d(mu) = p."""
         if not p.leq(lam.degree):
             raise FactorizationError(f"degree {p} is not below d({lam}) = {lam.degree}")
+        found = self._factorization(lam, p)
+        if isinstance(found, list):
+            how = "ambiguous factorisations" if found else "no factorisation"
+            raise FactorizationError(f"{lam} has {how} at degree {p}")
+        return found
+
+    @per_graph
+    def _factorization(self, lam: Morphism, p: Degree) -> tuple | list:
+        """For p <= d(lam): the unique factorisation at p, or else the list
+        of factorisations the fiber search found (none or several)."""
         if p.is_zero():
             return (self.unit(lam.range), lam)
         if p == lam.degree:
             return (lam, self.unit(lam.source))
-        key = (lam, p.coords)
-        hit = self._factor_cache.get(key)
-        if hit is None:
-            try:
-                hit = self._factor_by_pulling(lam, p)
-            except FactorizationError:
-                found = self._factor_by_search(lam, p)
-                hit = found[0] if len(found) == 1 else found
-            self._factor_cache[key] = hit
-        if isinstance(hit, list):
-            how = "ambiguous factorisations" if hit else "no factorisation"
-            raise FactorizationError(f"{lam} has {how} at degree {p}")
-        return hit
+        try:
+            return self._factor_by_pulling(lam, p)
+        except FactorizationError:
+            found = self._factor_by_search(lam, p)
+            return found[0] if len(found) == 1 else found
 
     def _pull_to_front(self, w: list[Name], j: int) -> None:
         """Move the edge at position j to position 0, rewriting each
@@ -517,40 +507,32 @@ class KGraph:
         failed factorisation already rules mu out."""
         if not mu.degree.leq(lam.degree):
             return []
-        try:
-            prefix, tail = self.factorize(lam, mu.degree)
-        except FactorizationError:
-            # mu.nu has the range of mu, and a search that found nothing
-            # has tried every tail after every mu in lam's fiber
-            searched = self._factor_cache[(lam, mu.degree.coords)]
-            if mu.range != lam.range or (
-                not searched and mu in self.fiber(lam.range, mu.degree).elements
-            ):
-                return []
-            fib = self.fiber(mu.source, lam.degree.sub(mu.degree))
-            return [nu for nu in fib.elements if self.compose(mu, nu) == lam]
-        return [tail] if prefix == mu else []
+        found = self._factorization(lam, mu.degree)
+        if isinstance(found, tuple):
+            return [found[1]] if found[0] == mu else []
+        # mu.nu has the range of mu, and a search that found nothing has
+        # tried every tail after every mu in lam's fiber
+        if mu.range != lam.range or (
+            not found and mu in self.fiber(lam.range, mu.degree).elements
+        ):
+            return []
+        fib = self.fiber(mu.source, lam.degree.sub(mu.degree))
+        return [nu for nu in fib.elements if self.compose(mu, nu) == lam]
 
     def prefix_leq(self, mu: Morphism, lam: Morphism) -> bool:
         """mu <= lam in the prefix order: mu.nu = lam for some nu."""
         return mu.graph is lam.graph and bool(self.tails(mu, lam))
 
+    @per_graph
     def prefixes(self, lam: Morphism) -> list[Morphism]:
-        """All prefixes of lam, one per degree below d(lam) when present."""
-        hit = self._prefix_cache.get(lam)
-        if hit is not None:
-            return hit
+        """All prefixes of lam, one per degree below d(lam) when present;
+        where factorisation is not unique, every mu the search found."""
         out = {}
         for p in lam.degree.downset():
-            try:
-                out.setdefault(self.factorize(lam, p)[0], None)
-            except FactorizationError:
-                for mu in self.fiber(lam.range, p).elements:
-                    if self.prefix_leq(mu, lam):
-                        out.setdefault(mu, None)
-        result = sorted(out, key=Morphism.sort_key)
-        self._prefix_cache[lam] = result
-        return result
+            found = self._factorization(lam, p)
+            for mu, _ in [found] if isinstance(found, tuple) else found:
+                out.setdefault(mu, None)
+        return sorted(out, key=Morphism.sort_key)
 
     # -- fibers and enumeration -----------------------------------------
 
@@ -564,6 +546,7 @@ class KGraph:
         )
         return edges, infinite
 
+    @per_graph
     def fiber(self, vertex: Name, p: Degree) -> FiberResult:
         """vLambda^p over the materialised fragment.
 
@@ -571,31 +554,24 @@ class KGraph:
         form, so composites whose word cannot be color-sorted (incomplete
         square sets) are still reached.
         """
-        key = (vertex, p.coords)
-        hit = self._fiber_cache.get(key)
-        if hit is not None:
-            return hit
         if p.is_zero():
-            result = FiberResult([self.unit(vertex)], True)
-        else:
-            seen: dict[Morphism, None] = {}
-            exact = True
-            for color in range(1, self.rank + 1):
-                if p.coords[color - 1] == 0:
-                    continue
-                edges, infinite = self.edge_fiber(vertex, color)
-                if infinite:
+            return FiberResult([self.unit(vertex)], True)
+        seen: dict[Morphism, None] = {}
+        exact = True
+        for color in range(1, self.rank + 1):
+            if p.coords[color - 1] == 0:
+                continue
+            edges, infinite = self.edge_fiber(vertex, color)
+            if infinite:
+                exact = False
+            rest = p.sub(Degree.unit(self.rank, color))
+            for e in edges:
+                sub = self.fiber(e.source, rest)
+                if not sub.exact:
                     exact = False
-                rest = p.sub(Degree.unit(self.rank, color))
-                for e in edges:
-                    sub = self.fiber(e.source, rest)
-                    if not sub.exact:
-                        exact = False
-                    for w in sub.elements:
-                        seen.setdefault(self.compose(self.edge_morphism(e.name), w), None)
-            result = FiberResult(sorted(seen, key=Morphism.sort_key), exact)
-        self._fiber_cache[key] = result
-        return result
+                for w in sub.elements:
+                    seen.setdefault(self.compose(self.edge_morphism(e.name), w), None)
+        return FiberResult(sorted(seen, key=Morphism.sort_key), exact)
 
     @per_graph
     def enumerate_morphisms(self, bound: Degree) -> EnumerationResult:

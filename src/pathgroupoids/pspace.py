@@ -178,37 +178,17 @@ def cylinder_membership(view, cyl: Cylinder) -> bool:
 
 @dataclass(frozen=True)
 class DescribedSequence:
-    """A sequence of subsets given by a finite irregular prefix plus a
-    tail rule: either constant or the principal filters of a morphism
-    family.  Limits depend on the tail only."""
+    """The sequence of principal filters of a morphism family."""
 
     graph: KGraph
-    constant: Optional[ExplicitSubset] = None
-    family: Optional[MorphismFamily] = None
-    prefix: tuple[ExplicitSubset, ...] = ()
-
-    @staticmethod
-    def constant_seq(view: ExplicitSubset) -> "DescribedSequence":
-        return DescribedSequence(view.graph, constant=view)
-
-    @staticmethod
-    def principal_family(graph: KGraph, fam: MorphismFamily) -> "DescribedSequence":
-        return DescribedSequence(graph, family=fam)
+    family: MorphismFamily
 
     @property
     def description(self) -> str:
-        head = f"{len(self.prefix)} prefix terms, " if self.prefix else ""
-        if self.constant is not None:
-            return f"{head}constant {self.constant}"
-        return f"{head}principal({self.family.description})"
+        return f"principal({self.family.description})"
 
-    def tail_terms(self) -> list[ExplicitSubset]:
-        if self.constant is not None:
-            return [self.constant]
+    def terms(self) -> list[Filter]:
         return [principal(m) for m in self.family.members()]
-
-    def terms(self) -> list[ExplicitSubset]:
-        return list(self.prefix) + self.tail_terms()
 
 
 class LimitOutcome(enum.Enum):
@@ -244,14 +224,8 @@ def pointwise_limit(seq: DescribedSequence, probe: Iterable[Morphism]) -> LimitR
     the union, reported as its bounded fragment with complete=False.
     """
     probe = sorted(set(probe), key=Morphism.sort_key)
-    if seq.constant is not None:
-        decisions = {
-            str(m): "in" if seq.constant.contains(m) else "out" for m in probe
-        }
-        return LimitResult(LimitOutcome.CONVERGES, seq.constant, True, decisions)
-
     fam = seq.family
-    terms = seq.tail_terms()
+    terms = seq.terms()
     n_terms = len(terms)
     decisions: dict[str, str] = {}
     divergent = False
@@ -342,7 +316,7 @@ def declared_sequences(graph: KGraph) -> list[DescribedSequence]:
     ann = graph.annotations
     if ann is None:
         return []
-    return [DescribedSequence.principal_family(graph, fam) for fam in ann.filter_families]
+    return [DescribedSequence(graph, fam) for fam in ann.filter_families]
 
 
 def bps_enumerate(graph: KGraph, bound: Degree) -> FilterList:
@@ -353,7 +327,7 @@ def bps_enumerate(graph: KGraph, bound: Degree) -> FilterList:
     out = {x for x in ultra.filters if in_ps(x)}
     exact = ultra.exact
     for seq in declared_sequences(graph):
-        if not all(in_ps(Filter(graph, t.elements)) for t in seq.terms()):
+        if not all(in_ps(t) for t in seq.terms()):
             # sequence does not live in PS; its limit is irrelevant here
             continue
         res = pointwise_limit(seq, default_probe(graph, bound, seq))
@@ -404,7 +378,7 @@ def compactness_probe(
         fam = ann.escape_family(lam) if ann is not None else None
         if fam is None:
             return CompactEvidence("UnknownAtBound", reason="no escape family declared")
-        seq = DescribedSequence.principal_family(graph, fam)
+        seq = DescribedSequence(graph, fam)
         for t in seq.terms():
             if not t.contains(lam):
                 raise SubsetError(f"escape family {fam.description} leaves Z({lam})")
@@ -458,13 +432,13 @@ def check_ps_characterisations_agree(graph: KGraph, bound: Degree) -> dict:
     bad, checked = [], 0
     for x in enumerate_filters(graph, bound).filters:
         checked += 1
-        meets_fa = any(is_fa(m) is Verdict.TRUE for m in x.elements)
+        # sorted, so the calls made before a short-circuit do not depend
+        # on the hash order of x.elements
+        elements = list(x)
+        meets_fa = any(is_fa(m) is Verdict.TRUE for m in elements)
         strengthened = all(
-            any(
-                is_fa(k) is Verdict.TRUE and x.graph.prefix_leq(m, k)
-                for k in x.elements
-            )
-            for m in x.elements
+            any(is_fa(k) is Verdict.TRUE and graph.prefix_leq(m, k) for k in elements)
+            for m in elements
         )
         if meets_fa != strengthened:
             bad.append(str(x))
@@ -552,7 +526,7 @@ def check_convergence_decisions(graph: KGraph, bound: Degree) -> dict:
         if res.outcome is not LimitOutcome.CONVERGES:
             bad.append((seq.description, "did not converge"))
             continue
-        terms = seq.tail_terms()
+        terms = seq.terms()
         n = len(terms)
         for m in probe:
             support = [i for i, t in enumerate(terms) if t.contains(m)]

@@ -37,6 +37,7 @@ from .groupoid import (
     enumerate_pg,
     invert,
     make_element,
+    spans,
 )
 
 
@@ -264,19 +265,9 @@ def phi(t: SpielbergTriple) -> GroupoidElement:
 
 
 def enumerate_triples(graph: KGraph, bound: Degree) -> list[SpielbergTriple]:
-    """Triples over the bounded enumeration whose shifted sides stay in
-    the enumerated filter fragment (mirroring the path-groupoid
-    enumeration, so the two sides of the isomorphism see the same
-    fragment)."""
-    morphs = graph.enumerate_morphisms(bound).morphisms
-    known = set(ps_filters(graph, bound).filters)
-    out = []
-    for x in sorted(known, key=Filter.sort_key):
-        legs = [m for m in morphs if m.source == x.range]
-        for alpha, beta in itertools.product(legs, legs):
-            if shift_on(alpha, x) in known and shift_on(beta, x) in known:
-                out.append(SpielbergTriple(alpha, beta, x))
-    return out
+    """One triple per path-groupoid span, so the two sides of the
+    isomorphism see the same fragment."""
+    return [SpielbergTriple(alpha, beta, x) for alpha, beta, x in spans(graph, bound)]
 
 
 def iso_check(graph: KGraph, bound: Degree) -> dict:
@@ -392,10 +383,11 @@ def relative_filter_space(graph: KGraph, bound: Degree) -> dict:
     """Contrast the filter space of the relative category FAr with the
     path space: the relative space has one extra nondiscrete point.
 
-    Only the catalog graph `tg` is supported; the argument is specific
-    to it.
+    Only the catalog graph `tg` is supported: the argument is specific to
+    it and reads its annotations.
     """
-    if graph.name != "tg":
+    ann = graph.annotations
+    if ann is None or ann.graph_name != "tg":
         raise UnsupportedDomainError("the relative filter-space diagnostic runs on tg only")
     in_far = far_predicate(graph, bound)
     morphs = graph.enumerate_morphisms(bound).morphisms
@@ -411,7 +403,6 @@ def relative_filter_space(graph: KGraph, bound: Degree) -> dict:
 
     far_filters = sorted({far_down(m) for m in far_elements}, key=Filter.sort_key)
 
-    ann = graph.annotations
     fam_limits_far: dict[str, Filter] = {}
     for fam in ann.filter_families:
         terms = [far_down(m) for m in fam.members()]

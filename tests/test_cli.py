@@ -153,6 +153,16 @@ def test_groupoid_compare_relative(capsys):
     assert report["results"]["relative_comparison"]["counts"] == [3, 2]
 
 
+def test_compare_relative_refuses_a_file_named_tg(tmp_path, capsys):
+    """The diagnostic reads the catalog annotations of tg; a presentation
+    file that is merely named tg has none."""
+    doc = tmp_path / "tg"
+    doc.write_text("vertices: v w\nedges:\n  e 1 w -> v\n")
+    assert main(["groupoid", "--graph", str(doc), "--compare-relative"]) == 2
+    err = capsys.readouterr().err
+    assert "unsupported domain" in err and "Traceback" not in err
+
+
 def test_user_presentation_file_runs_every_command(tmp_path, capsys):
     doc = tmp_path / "user_tg.kg"
     doc.write_text(BAD_SQUARES.replace("  mu.beta[n] = lambda.alpha[n]\n  mu", "  mu"))

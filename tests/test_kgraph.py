@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from pathgroupoids.catalog import (
@@ -5,6 +7,7 @@ from pathgroupoids.catalog import (
     grid,
     lambda_tg,
     lambda_tg_infinity,
+    line,
     squares_graph,
 )
 from pathgroupoids.degree import Degree
@@ -231,6 +234,62 @@ def test_tails_trusts_a_search_that_found_nothing(monkeypatch):
     monkeypatch.setattr(graph, "compose", _no_call)
     assert graph.tails(c, ab) == []
     assert not graph.prefix_leq(c, ab)
+
+
+def _word_calls(graph, bound, foreign):
+    """(memoised KGraph method, arguments) over the bounded enumeration,
+    with the domain errors: pairs that do not compose, a morphism of
+    another graph, and an unknown vertex."""
+    morphs = graph.enumerate_morphisms(bound).morphisms
+    for lam in morphs:
+        yield KGraph.prefixes, (graph, lam)
+        for p in lam.degree.downset():
+            yield KGraph._factorization, (graph, lam, p)
+        for nu in morphs:
+            yield KGraph.compose, (graph, lam, nu)
+        yield KGraph.compose, (graph, lam, foreign)
+    for v in graph.vertices:
+        for p in bound.downset():
+            yield KGraph.fiber, (graph, v, p)
+    yield KGraph.fiber, (graph, Name("nowhere"), Degree.zero(graph.rank))
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: line(3), lambda: grid(2), squares_graph, lambda: lambda_tg(3),
+     lambda: lambda_tg_infinity(2, 2)],
+    ids=["line", "grid", "squares", "tg", "tg-infinity"],
+)
+def test_word_memo_agrees_with_the_unmemoised_methods(maker):
+    """compose, fiber, prefixes and _factorization each equal a fresh
+    computation and share their value on a repeat call; a domain error
+    is never cached and raises every time, as does factorize on a
+    remembered failed factorisation."""
+    graph = maker()
+    foreign = maker().edge_morphism(sorted(graph.edges)[0])
+    returned, raised = collections.Counter(), collections.Counter()
+    for memoised, args in _word_calls(graph, Degree((2,) * graph.rank), foreign):
+        name = memoised.__name__
+        try:
+            want = memoised.__wrapped__(*args)
+        except KGraphError as exc:
+            for _ in range(2):
+                with pytest.raises(type(exc)):
+                    memoised(*args)
+            raised[name] += 1
+            continue
+        got = memoised(*args)
+        assert got == want, (name, [str(a) for a in args[1:]])
+        assert memoised(*args) is got
+        returned[name] += 1
+        if isinstance(got, list) and name == "_factorization":
+            for _ in range(2):
+                with pytest.raises(FactorizationError):
+                    graph.factorize(*args[1:])
+            raised["factorize"] += 1
+    assert set(returned) == {"compose", "fiber", "prefixes", "_factorization"}
+    assert raised["compose"] and raised["fiber"]
+    assert bool(raised["factorize"]) == (graph.name == "tg-infinity")
 
 
 # -- fibers and enumeration --------------------------------------------------

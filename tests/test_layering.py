@@ -1,13 +1,13 @@
 """The package's public surface and its import layering."""
 
 import ast
+import copy
 from pathlib import Path
 
 import pathgroupoids
 from pathgroupoids import action, cli
 from pathgroupoids.catalog import grid, lambda_tg
 from pathgroupoids.degree import Degree
-from pathgroupoids.kgraph import KGraph
 
 PACKAGE_DIR = Path(pathgroupoids.__file__).parent
 
@@ -35,10 +35,15 @@ def test_no_function_level_relative_imports():
 
 
 def test_graph_caches_are_declared_in_init():
-    """Every cache lives in a table that KGraph.__init__ declares: the
-    paths, groupoid and Spielberg suites add no attribute to the graph
-    besides the annotations that the catalog sets."""
+    """The graph's only cache is the memo table that KGraph.__init__
+    declares: the paths, groupoid and Spielberg suites change no other
+    attribute of the graph, and no module but kgraph names the table."""
     graph = lambda_tg(3)
+    square = grid(2)
+    before = {
+        id(g): {k: copy.copy(v) for k, v in vars(g).items() if k != "_memo"}
+        for g in (graph, square)
+    }
     bound = Degree((2, 2))
     parser = cli.build_parser()
     cli.cmd_paths(parser.parse_args(["paths", "--graph", "tg", "--probe", "lambda"]), graph, bound)
@@ -48,13 +53,15 @@ def test_graph_caches_are_declared_in_init():
     for name in sorted(vars(action)):
         if name.startswith("check_"):
             getattr(action, name)(graph, bound)
-    square = grid(2)
     cli.cmd_groupoid(
         parser.parse_args(["groupoid", "--graph", "grid", "--spielberg"]), square, bound
     )
-    declared = set(vars(KGraph("empty", 1, [], [])))
-    assert set(vars(graph)) == declared | {"annotations"}
-    assert set(vars(square)) == declared | {"annotations"}
+    for g in (graph, square):
+        after = dict(vars(g))
+        assert after.pop("_memo")
+        assert after == before[id(g)]
+    readers = [p.name for p in PACKAGE_DIR.glob("*.py") if "_memo" in p.read_text(encoding="utf-8")]
+    assert readers == ["kgraph.py"]
 
 
 # per_graph finds the graph through the first argument's own ``graph``
@@ -87,5 +94,8 @@ def test_per_graph_keys_start_with_a_graph_object():
         found.append(func.name)
         if kind not in MEMO_KEY_TYPES:
             bad.append(f"{filename}:{func.lineno} {func.name}({first.arg}: {kind})")
-    assert {"shift_off", "act_flagged", "_directed_witness", "unit"} <= set(found)
+    assert {
+        "shift_off", "act_flagged", "_directed_witness", "unit", "compose", "fiber",
+        "prefixes", "_factorization", "spans",
+    } <= set(found)
     assert not bad, f"per_graph functions keyed by a non-graph object: {bad}"

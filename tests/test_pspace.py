@@ -1,7 +1,9 @@
+import collections
 import itertools
 
 import pytest
 
+from pathgroupoids import alignment, cli
 from pathgroupoids import pspace as ps
 from pathgroupoids.alignment import Verdict
 from pathgroupoids.catalog import (
@@ -14,7 +16,7 @@ from pathgroupoids.catalog import (
     line,
 )
 from pathgroupoids.degree import Degree
-from pathgroupoids.kgraph import load_presentation
+from pathgroupoids.kgraph import KGraph, load_presentation
 
 B22 = Degree((2, 2))
 
@@ -163,7 +165,7 @@ def _family(graph, description):
 
 
 def test_pointwise_limit_of_alpha_family(tg3):
-    seq = ps.DescribedSequence.principal_family(tg3, _family(tg3, "alpha[n]"))
+    seq = ps.DescribedSequence(tg3, _family(tg3, "alpha[n]"))
     res = ps.pointwise_limit(seq, ps.default_probe(tg3, B22, seq))
     assert res.outcome is ps.LimitOutcome.CONVERGES and res.complete
     assert {str(m) for m in res.limit.elements} == {"w"}
@@ -171,33 +173,17 @@ def test_pointwise_limit_of_alpha_family(tg3):
 
 
 def test_pointwise_limit_of_square_family(tg3):
-    seq = ps.DescribedSequence.principal_family(tg3, _family(tg3, "lambda.alpha[n]"))
+    seq = ps.DescribedSequence(tg3, _family(tg3, "lambda.alpha[n]"))
     res = ps.pointwise_limit(seq, ps.default_probe(tg3, B22, seq))
     assert {str(m) for m in res.limit.elements} == {"v", "lambda", "mu"}
     ok, why = res.limit_is_filter()
     assert not ok and "directed" in why
 
 
-def test_pointwise_limit_constant(tg3):
-    x = ps.principal(tg3.morphism("beta[1]"))
-    seq = ps.DescribedSequence.constant_seq(x)
-    res = ps.pointwise_limit(seq, ps.default_probe(tg3, B22, seq))
-    assert res.limit.elements == x.elements and res.complete
-
-
-def test_pointwise_limit_ignores_finite_prefix(tg3):
-    fam = _family(tg3, "alpha[n]")
-    junk = ps.ExplicitSubset(tg3, [tg3.unit(tg3.vertex("u"))])
-    seq = ps.DescribedSequence(tg3, family=fam, prefix=(junk, junk))
-    res = ps.pointwise_limit(seq, ps.default_probe(tg3, B22, seq))
-    assert {str(m) for m in res.limit.elements} == {"w"}
-    assert len(seq.terms()) == len(seq.tail_terms()) + 2
-
-
 def test_pointwise_limit_increasing_family():
     g = cycle(3)
     fam = g.annotations.filter_families[0]
-    seq = ps.DescribedSequence.principal_family(g, fam)
+    seq = ps.DescribedSequence(g, fam)
     res = ps.pointwise_limit(seq, ps.default_probe(g, Degree((3,)), seq))
     assert res.outcome is ps.LimitOutcome.CONVERGES
     assert not res.complete  # the union keeps growing past the bound
@@ -212,7 +198,7 @@ def test_pointwise_limit_flags_oscillation(tg3):
         (1, 2, 3, 4),
         lambda n: tg3.morphism(f"mu.beta[{n}]" if n % 2 else "mu.beta[1]"),
     )
-    seq = ps.DescribedSequence.principal_family(tg3, fam)
+    seq = ps.DescribedSequence(tg3, fam)
     res = ps.pointwise_limit(seq, ps.default_probe(tg3, B22, seq))
     assert res.outcome is ps.LimitOutcome.DIVERGENT
     assert "oscillating" in res.decisions.values()
@@ -249,7 +235,7 @@ def test_bps_tg_is_ultrafilters_plus_vertex_limits(tg3):
     ultra = [x for x in ps.ultrafilters(tg3, B22).filters if ps.in_ps(x)]
     expected = {x.elements for x in ultra}
     for name, limit in (("beta[n]", "t"), ("alpha[n]", "w")):
-        seq = ps.DescribedSequence.principal_family(tg3, _family(tg3, name))
+        seq = ps.DescribedSequence(tg3, _family(tg3, name))
         res = ps.pointwise_limit(seq, ps.default_probe(tg3, B22, seq))
         assert ps.is_filter(res.limit)[0]
         expected.add(res.limit.elements)
@@ -302,7 +288,7 @@ def test_probe_finite_graphs_compact():
 def test_probe_rejects_supplied_family_outside_cylinder(tg3):
     # the beta-family filters do not contain w, so supplying them as
     # evidence for Z(w) is an input error
-    seq = ps.DescribedSequence.principal_family(tg3, _family(tg3, "beta[n]"))
+    seq = ps.DescribedSequence(tg3, _family(tg3, "beta[n]"))
     with pytest.raises(ps.SubsetError):
         ps.compactness_probe(tg3.unit(tg3.vertex("w")), B22, families=[seq])
 
@@ -351,3 +337,32 @@ def test_ps_characterisations_agree(tg3):
     for g in finite_examples():
         bound = Degree((2, 2)) if g.rank == 2 else Degree((3,))
         assert ps.check_ps_characterisations_agree(g, bound)["ok"]
+
+
+def test_paths_call_counts_repeat_on_fresh_graphs(monkeypatch):
+    """Morphisms hash by the graph's id, so each fresh graph orders its
+    filters' elements differently.  The paths suites scan filters in
+    sorted order, so the calls made before a short-circuit are the same
+    on every fresh graph."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    is_fa = alignment.is_fa
+    for mod in (alignment, ps):
+        monkeypatch.setattr(mod, "is_fa", counted("is_fa", is_fa))
+    monkeypatch.setattr(KGraph, "prefix_leq", counted("prefix_leq", KGraph.prefix_leq))
+    args = cli.build_parser().parse_args(["paths", "--graph", "yee"])
+    seen = []
+    for _ in range(3):
+        graph = lambda_yee(2)
+        counts.clear()
+        cli.cmd_paths(args, graph, B22)
+        seen.append(dict(counts))
+    assert seen[0]["is_fa"] and seen[0]["prefix_leq"]
+    assert seen[0] == seen[1] == seen[2]
