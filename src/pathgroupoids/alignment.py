@@ -126,18 +126,24 @@ def fa_at(lam: Morphism, bound: Degree) -> FaVerdict:
     """Is the graph finitely aligned at lam?
 
     Quantifies mce over mu in lam.Lambda and nu in Lambda; nu is pruned
-    to r(nu) = r(lam) since other pairs have empty intersections.
+    to r(nu) = r(lam) since other pairs have empty intersections.  The
+    pairs are summed row by row (:func:`_fa_row`), so a pair shared by
+    several prefixes lam of mu is checked once per graph.
     """
     graph = lam.graph
     if graph.is_finite:
         top = _max_degree(graph)
-        candidates = [n for n in graph.enumerate_morphisms(top).morphisms if n.range == lam.range]
         pairs = 0
         for mu in graph.right_ideal(lam, top):
-            for nu in candidates:
-                v = fa_at_pair(mu, nu)
-                assert v.value is Verdict.TRUE
-                pairs += 1
+            false_nu, unknown, row_pairs = _fa_row(mu, top)
+            if false_nu is not None or unknown:
+                nu = next(
+                    n for n in _same_range(mu, top) if fa_at_pair(mu, n).value is not Verdict.TRUE
+                )
+                raise KGraphError(
+                    f"finite graph {graph.name}: pair ({mu}, {nu}) is not exactly finite"
+                )
+            pairs += row_pairs
         return FaVerdict(Verdict.TRUE, record={"mode": "exhaustive", "pairs": pairs})
 
     ann = graph.annotations
@@ -159,26 +165,48 @@ def fa_at(lam: Morphism, bound: Degree) -> FaVerdict:
             record={"mode": "annotation", "family": res.family},
         )
 
-    candidates = [n for n in graph.enumerate_morphisms(bound).morphisms if n.range == lam.range]
+    # fa_at_pair is False only for a declared infinite family, which
+    # needs annotations: a False pair always raises here.
     pairs = unknown = 0
     for mu in graph.right_ideal(lam, bound):
-        for nu in candidates:
-            v = fa_at_pair(mu, nu)
-            pairs += 1
-            if v.value is Verdict.FALSE:
-                if ann is not None:
-                    raise AnnotationError(
-                        f"{lam} is annotated finitely aligned but ({mu}, {nu}) is not"
-                    )
-                return FaVerdict(Verdict.FALSE, witness=(mu, nu), record={"mode": "search"})
-            if v.value is Verdict.UNKNOWN_AT_BOUND:
-                unknown += 1
+        false_nu, row_unknown, row_pairs = _fa_row(mu, bound)
+        if false_nu is not None:
+            raise AnnotationError(
+                f"{lam} is annotated finitely aligned but ({mu}, {false_nu}) is not"
+            )
+        pairs += row_pairs
+        unknown += row_unknown
     if ann is not None:
         return FaVerdict(
             Verdict.TRUE,
             record={"mode": "annotation+bounded", "pairs": pairs, "unknown": unknown},
         )
     return FaVerdict(Verdict.UNKNOWN_AT_BOUND, record={"mode": "search", "pairs": pairs})
+
+
+def _same_range(mu: Morphism, bound: Degree) -> list[Morphism]:
+    """The nu of degree <= bound with r(nu) = r(mu), in enumeration order."""
+    return [n for n in mu.graph.enumerate_morphisms(bound).morphisms if n.range == mu.range]
+
+
+@per_graph
+def _fa_row(mu: Morphism, bound: Degree) -> tuple[Optional[Morphism], int, int]:
+    """mu's row of pairs (mu, nu) for nu in :func:`_same_range`:
+    ``(first nu whose pair is False or None, unknown pairs, pairs)``.
+
+    The row is shared by every prefix of mu.  It stops at the first
+    False pair, where :func:`fa_at` raises, so a later pair cannot raise
+    a different error first.
+    """
+    pairs = unknown = 0
+    for nu in _same_range(mu, bound):
+        v = fa_at_pair(mu, nu).value
+        pairs += 1
+        if v is Verdict.FALSE:
+            return nu, unknown, pairs
+        if v is Verdict.UNKNOWN_AT_BOUND:
+            unknown += 1
+    return None, unknown, pairs
 
 
 @per_graph
@@ -368,25 +396,3 @@ def validate_relative_cop(graph: KGraph, bound: Degree) -> dict:
     ]
     report["is_k_graph"] = not gap
     return report
-
-
-# -- brute-force oracle ----------------------------------------------------
-
-
-def brute_ideal_intersection(graph: KGraph, mu: Morphism, nu: Morphism) -> list[Morphism]:
-    """mu.Lambda intersect nu.Lambda by exhaustive scan (finite graphs)."""
-    out = [
-        m
-        for m in graph.all_morphisms()
-        if graph.prefix_leq(mu, m) and graph.prefix_leq(nu, m)
-    ]
-    return sorted(out, key=Morphism.sort_key)
-
-
-def brute_union_of_ideals(graph: KGraph, gens: tuple[Morphism, ...]) -> list[Morphism]:
-    out = {
-        m
-        for m in graph.all_morphisms()
-        if any(graph.prefix_leq(g, m) for g in gens)
-    }
-    return sorted(out, key=Morphism.sort_key)

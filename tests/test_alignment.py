@@ -1,4 +1,9 @@
+import collections
+import dataclasses
+import importlib.util
 import itertools
+import pathlib
+import random
 
 import pytest
 
@@ -13,9 +18,30 @@ from pathgroupoids.catalog import (
     squares_graph,
 )
 from pathgroupoids.degree import Degree
-from pathgroupoids.kgraph import load_presentation
+from pathgroupoids.kgraph import KGraphError, load_presentation
+from test_oracles import brute_ideal_intersection, brute_union_of_ideals
 
 B22 = Degree((2, 2))
+
+USER_DOC = """
+vertices: t u v w
+edges:
+  lambda 1 w -> v
+  mu     2 t -> v
+  beta[n]  1 u -> t
+  alpha[n] 2 u -> w
+squares:
+  mu.beta[n] = lambda.alpha[n]
+"""
+
+
+def _gen_product(size=(2, 2, 2, 1), seed=7):
+    """A seeded twisted product from the benchmark's generator."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return load_presentation(gen.twisted_product(*size, random.Random(seed)))
 
 
 @pytest.fixture(scope="module")
@@ -76,19 +102,17 @@ def test_fa_set_tg_infinity_all_false_with_reverifying_witnesses():
 
 
 def test_user_presentation_gets_honest_unknowns():
-    doc = """
-vertices: t u v w
-edges:
-  lambda 1 w -> v
-  mu     2 t -> v
-  beta[n]  1 u -> t
-  alpha[n] 2 u -> w
-squares:
-  mu.beta[n] = lambda.alpha[n]
-"""
-    g = load_presentation(doc, cutoff=3)  # no annotations attached
-    v = al.fa_at(g.morphism("lambda"), B22)
-    assert v.value is Verdict.UNKNOWN_AT_BOUND
+    """Without annotations no pair can be False: even lam, whose pair
+    (lambda, mu) has infinitely many common extensions, is unknown after
+    a search over every pair."""
+    g = load_presentation(USER_DOC, cutoff=3)  # no annotations attached
+    lam = g.morphism("lambda")
+    v = al.fa_at(lam, B22)
+    same_range = [n for n in g.enumerate_morphisms(B22).morphisms if n.range == lam.range]
+    pairs = len(g.right_ideal(lam, B22)) * len(same_range)
+    assert v.value is Verdict.UNKNOWN_AT_BOUND and v.witness is None
+    assert v.record == {"mode": "search", "pairs": pairs}
+    assert al.fa_at_pair(lam, g.morphism("mu")).value is Verdict.UNKNOWN_AT_BOUND
 
 
 def test_finite_graphs_are_true_everywhere():
@@ -108,8 +132,8 @@ def test_exact_mce_matches_ideal_intersection_on_finite_graphs():
         for mu, nu in itertools.product(morphs, morphs):
             res = al.mce(mu, nu)
             assert res.kind is MceKind.EXACT_FINITE
-            lhs = al.brute_ideal_intersection(g, mu, nu)
-            rhs = al.brute_union_of_ideals(g, res.elements)
+            lhs = brute_ideal_intersection(g, mu, nu)
+            rhs = brute_union_of_ideals(g, res.elements)
             assert lhs == rhs, (str(mu), str(nu))
 
 
@@ -124,6 +148,101 @@ def test_exhaustive_fa_at_counts_every_pair(maker):
         same_range = [n for n in morphs if n.range == lam.range]
         record = al.fa_at(lam, B22).record
         assert record == {"mode": "exhaustive", "pairs": len(ideal) * len(same_range)}, str(lam)
+
+
+# -- fa_at sums one row of pairs per mu ---------------------------------------
+
+
+def nested_fa_at(lam, bound):
+    """fa_at as one nested scan over every (mu, nu) pair per lam: the
+    reference for the row sums.  The annotation branch scans no pairs and
+    is left to fa_at."""
+    graph = lam.graph
+    ann = graph.annotations
+    if graph.is_finite:
+        bound = al._max_degree(graph)
+    elif ann is not None and not ann.fa_certified_all and ann.fa_excluded(lam):
+        return al.fa_at(lam, bound)
+    candidates = [n for n in graph.enumerate_morphisms(bound).morphisms if n.range == lam.range]
+    pairs = unknown = 0
+    for mu in graph.right_ideal(lam, bound):
+        for nu in candidates:
+            v = al.fa_at_pair(mu, nu).value
+            pairs += 1
+            assert v is not Verdict.FALSE, (str(lam), str(mu), str(nu))
+            unknown += v is Verdict.UNKNOWN_AT_BOUND
+    if graph.is_finite:
+        assert unknown == 0
+        return al.FaVerdict(Verdict.TRUE, record={"mode": "exhaustive", "pairs": pairs})
+    if ann is not None:
+        record = {"mode": "annotation+bounded", "pairs": pairs, "unknown": unknown}
+        return al.FaVerdict(Verdict.TRUE, record=record)
+    return al.FaVerdict(Verdict.UNKNOWN_AT_BOUND, record={"mode": "search", "pairs": pairs})
+
+
+MAKERS = {
+    "line": lambda: finite_examples()[0],
+    "grid": lambda: grid(2),
+    "squares": squares_graph,
+    "tg": lambda: lambda_tg(3),
+    "tg-infinity": lambda: lambda_tg_infinity(2, 3),
+    "yee": lambda: lambda_yee(3),
+    "user": lambda: load_presentation(USER_DOC, cutoff=3),
+    "product": _gen_product,
+}
+
+
+def _bound(g):
+    return B22 if g.rank == 2 else Degree((2,))
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS))
+def test_row_sums_match_the_nested_scan(name):
+    g = MAKERS[name]()
+    bound = _bound(g)
+    for lam in g.enumerate_morphisms(bound).morphisms:
+        assert al.fa_at(lam, bound) == nested_fa_at(lam, bound), str(lam)
+
+
+@pytest.mark.parametrize("name", ["line", "grid", "squares", "user", "product"])
+def test_fa_set_runs_mce_once_per_pair(name, monkeypatch):
+    g = MAKERS[name]()
+    calls = collections.Counter()
+    mce = al.mce
+
+    def counted(mu, nu):
+        calls[mu, nu] += 1
+        return mce(mu, nu)
+
+    monkeypatch.setattr(al, "mce", counted)
+    al.fa_set(g, _bound(g))
+    assert calls and set(calls.values()) == {1}
+
+
+def test_false_pair_under_an_fa_annotation_raises_on_every_call():
+    """Rows are memoised, and the error is raised from them on each call."""
+    g = lambda_tg(3)
+    g.annotations = dataclasses.replace(g.annotations, fa_excluded=lambda m: False)
+    v = g.unit(g.vertex("v"))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(al.AnnotationError) as err:
+            al.fa_at(v, B22)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("v is annotated finitely aligned but (")
+
+
+def test_finite_graph_with_an_inexact_pair_raises(monkeypatch):
+    g = grid(2)
+    monkeypatch.setattr(
+        al, "fa_at_pair", lambda mu, nu: al.FaVerdict(Verdict.UNKNOWN_AT_BOUND)
+    )
+    lam = g.enumerate_morphisms(B22).morphisms[-1]
+    first_nu = next(n for n in g.all_morphisms() if n.range == lam.range)
+    with pytest.raises(KGraphError, match="is not exactly finite") as err:
+        al.fa_at(lam, B22)
+    assert f"pair ({lam}, {first_nu})" in str(err.value)
 
 
 def test_mce_elements_have_lub_degree(tg):

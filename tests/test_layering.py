@@ -96,6 +96,6 @@ def test_per_graph_keys_start_with_a_graph_object():
             bad.append(f"{filename}:{func.lineno} {func.name}({first.arg}: {kind})")
     assert {
         "shift_off", "act_flagged", "_directed_witness", "unit", "compose", "fiber",
-        "prefixes", "_factorization", "spans",
+        "prefixes", "_factorization", "spans", "_fa_row",
     } <= set(found)
     assert not bad, f"per_graph functions keyed by a non-graph object: {bad}"

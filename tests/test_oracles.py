@@ -10,8 +10,29 @@ from pathgroupoids import pspace as ps
 from pathgroupoids import spielberg as sp
 from pathgroupoids.catalog import finite_examples, grid, lambda_tg, squares_graph
 from pathgroupoids.degree import Degree
+from pathgroupoids.kgraph import Morphism
 
 B22 = Degree((2, 2))
+
+
+def brute_ideal_intersection(graph, mu, nu):
+    """mu.Lambda intersect nu.Lambda by exhaustive scan (finite graphs)."""
+    out = [
+        m
+        for m in graph.all_morphisms()
+        if graph.prefix_leq(mu, m) and graph.prefix_leq(nu, m)
+    ]
+    return sorted(out, key=Morphism.sort_key)
+
+
+def brute_union_of_ideals(graph, gens):
+    """The union of the ideals g.Lambda, g in gens, by exhaustive scan."""
+    out = {
+        m
+        for m in graph.all_morphisms()
+        if any(graph.prefix_leq(g, m) for g in gens)
+    }
+    return sorted(out, key=Morphism.sort_key)
 
 
 def pair_oracle_elements(graph, bound):
