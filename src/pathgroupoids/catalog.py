@@ -136,6 +136,8 @@ def lambda_tg_infinity(blocks: int = 2, cutoff: int = 3) -> KGraph:
     """
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     mat = blocks + 1  # edge blocks actually materialised
     vertices = (
         [Name("v", (m,)) for m in range(1, mat + 2)]

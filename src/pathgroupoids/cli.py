@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except sp.UnsupportedDomainError as exc:
         print(f"unsupported domain: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FileNotFoundError, ValueError, KGraphError) as exc:
+    except (OSError, ValueError, KGraphError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = {

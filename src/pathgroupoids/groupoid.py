@@ -337,7 +337,16 @@ def invariance_check(graph: KGraph, bound: Degree) -> dict:
 def axiom_suite(graph: KGraph, bound: Degree) -> dict:
     """Groupoid axioms over every enumerated element: coherence of
     composability, associativity, inverse and unit laws, plus span
-    round-trips and certificate re-verification."""
+    round-trips and certificate re-verification.
+
+    Associativity runs over a composition table of integer ids.  The
+    element at position i of `enumerate_pg` has id i; a composite that
+    equals no enumerated element (a fragment not closed under
+    composition) gets the next free id.  Each composable pair of ids is
+    composed once by `compose_elements`, which re-verifies the
+    certificate, and each triple (g, h, k) then compares the ids of
+    (gh)k and g(hk).  Triples run in enumeration order, so
+    counterexamples come out in that order."""
     elements = enumerate_pg(graph, bound)
     bad: list = []
     coherence = 0
@@ -362,32 +371,40 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
         if not (r_unit.is_unit() and s_unit.is_unit() and r_unit.x == g.x and s_unit.x == g.y):
             coherence += 1
 
-    by_x: dict[Filter, list[GroupoidElement]] = {}
-    for g in elements:
-        by_x.setdefault(g.x, []).append(g)
-    pairs = [(g, h) for g in elements for h in by_x.get(g.y, [])]
     if coherence:
         bad.append(("coherence", coherence))
 
-    comp_cache: dict[tuple[GroupoidElement, GroupoidElement], GroupoidElement] = {}
+    ids = {g: i for i, g in enumerate(elements)}
+    objs = list(elements)  # a copy: the memoised enumeration must not grow
+    table: dict[tuple[int, int], int] = {}
 
-    def comp(g, h):
-        key = (g, h)
-        if key not in comp_cache:
-            comp_cache[key] = compose_elements(g, h)
-        return comp_cache[key]
+    def comp(i: int, j: int) -> int:
+        c = table.get((i, j))
+        if c is None:
+            gh = compose_elements(objs[i], objs[j])
+            c = ids.setdefault(gh, len(objs))
+            if c == len(objs):
+                objs.append(gh)
+            table[i, j] = c
+        return c
 
-    assoc_checked = 0
-    for g, h in pairs:
-        gh = comp(g, h)
-        for k in by_x.get(h.y, []):
-            assoc_checked += 1
-            if comp(gh, k) != comp(g, comp(h, k)):
-                bad.append(("associativity", str(g), str(h), str(k)))
+    by_x: dict[Filter, list[int]] = {}
+    for i, g in enumerate(elements):
+        by_x.setdefault(g.x, []).append(i)
+    after = [by_x.get(g.y, []) for g in elements]  # ids composable after i
+    pairs = assoc_checked = 0
+    for i, g in enumerate(elements):
+        for j in after[i]:
+            pairs += 1
+            ij = comp(i, j)
+            for k in after[j]:
+                assoc_checked += 1
+                if comp(ij, k) != comp(i, comp(j, k)):
+                    bad.append(("associativity", str(g), str(elements[j]), str(elements[k])))
     return {
         "ok": not bad,
         "elements": len(elements),
-        "composable_pairs": len(pairs),
+        "composable_pairs": pairs,
         "associativity_triples": assoc_checked,
         "counterexamples": [str(b) for b in bad[:5]],
     }

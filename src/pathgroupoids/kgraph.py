@@ -677,6 +677,8 @@ def load_presentation(text: str, name: str = "user", cutoff: int = 3) -> KGraph:
     N-indexed family materialised up to `cutoff`; square lines read
     ``a.b = c.d`` with family index variables unifying across the sides.
     """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     vertices: list[Name] = []
     edges: list[Edge] = []
     families: list[EdgeFamily] = []

@@ -52,6 +52,15 @@ def test_tg_declared_mce_is_cross_validated_and_grows():
     assert sizes == [2, 4, 6]
 
 
+@pytest.mark.parametrize(
+    "build", [lambda_tg, lambda_yee, lambda c: lambda_tg_infinity(blocks=2, cutoff=c)]
+)
+@pytest.mark.parametrize("cutoff", [0, -1])
+def test_cutoff_below_one_is_rejected(build, cutoff):
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        build(cutoff)
+
+
 def test_tg_infinity_structure():
     g = lambda_tg_infinity(blocks=1, cutoff=2)
     # one user-facing block plus a bridge layer of names

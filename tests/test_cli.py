@@ -50,6 +50,22 @@ def test_missing_file_is_an_input_error(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_directory_as_graph_is_an_input_error(tmp_path, capsys):
+    assert main(["validate", "--graph", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("graph", ["tg-infinity", "tg", "yee", "file"])
+def test_cutoff_below_one_is_an_input_error(graph, tmp_path, capsys):
+    if graph == "file":
+        doc = tmp_path / "family.kg"
+        doc.write_text("vertices: v\nedges:\n  e[n] 1 v -> v\n")
+        graph = str(doc)
+    assert main(["paths", "--graph", graph, "--cutoff", "0"]) == 2
+    assert "input error: cutoff must be >= 1" in capsys.readouterr().err
+
+
 def test_bad_bound_is_an_input_error(capsys):
     assert main(["align", "--graph", "tg", "--bound", "1,2,3"]) == 2
 
@@ -195,6 +211,7 @@ def test_text_and_json_agree_on_verdicts(capsys):
         ("paths", "--graph", "tg", "--cutoff", "2", "--format", "json"),
         ("groupoid", "--graph", "tg", "--cutoff", "2", "--format", "json"),
         ("validate", "--graph", "yee", "--format", "json"),
+        ("groupoid", "--graph", "grid", "--spielberg", "--format", "json"),
     ],
 )
 def test_byte_identical_reports_across_processes(argv):

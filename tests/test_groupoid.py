@@ -134,6 +134,73 @@ def test_axiom_suite_single_unit_groupoid():
     assert rep["ok"] and rep["elements"] == 1
 
 
+def _non_unit_pair(elements):
+    """The first composable pair of non-units whose composite is no unit."""
+    return next(
+        (g, h)
+        for g in elements
+        for h in elements
+        if g.y == h.x and not g.is_unit() and not h.is_unit() and h != gp.invert(g)
+    )
+
+
+def test_axiom_suite_reports_a_wrong_composite(monkeypatch, tg):
+    """One wrong cell of the composition table shows up as an
+    associativity counterexample.  On finite filters q = d(x) - d(y), so a
+    valid element with the composite's endpoints is the composite itself;
+    the wrong cell keeps the endpoints, shifts q, and composes onward
+    without a certificate."""
+    elements = gp.enumerate_pg(tg, B22)
+    real = gp.compose_elements
+    a, b = _non_unit_pair(elements)
+    ab = real(a, b)
+    wrong = gp.GroupoidElement(ab.x, tuple(c + 1 for c in ab.q), ab.y, ab.cert)
+
+    def compose(g, h):
+        if g is a and h is b:
+            return wrong
+        if g is wrong or h is wrong:
+            q = tuple(x + y for x, y in zip(g.q, h.q))
+            return gp.GroupoidElement(g.x, q, h.y, g.cert)
+        return real(g, h)
+
+    clean = gp.axiom_suite(tg, B22)
+    monkeypatch.setattr(gp, "compose_elements", compose)
+    rep = gp.axiom_suite(tg, B22)
+    assert not rep["ok"]
+    assert rep["counterexamples"][0].startswith(f"('associativity', '{a}', '{b}', ")
+    assert all(c.startswith("('associativity', ") for c in rep["counterexamples"])
+    for key in ("elements", "composable_pairs", "associativity_triples"):
+        assert rep[key] == clean[key]
+
+
+def test_axiom_suite_composite_outside_the_enumeration(monkeypatch, tg):
+    """A fragment not closed under composition: composites equal to the
+    dropped element get ids of their own, and the laws still hold."""
+    elements = gp.enumerate_pg(tg, B22)
+    drop = gp.compose_elements(*_non_unit_pair(elements))
+    kept = [e for e in elements if e != drop]
+    assert len(kept) == len(elements) - 1 and not drop.is_unit()
+    real = gp.compose_elements
+    outside = []
+
+    def compose(g, h):
+        gh = real(g, h)
+        if gh not in kept:
+            outside.append(gh)
+        return gh
+
+    monkeypatch.setattr(gp, "enumerate_pg", lambda graph, bound: kept)
+    monkeypatch.setattr(gp, "compose_elements", compose)
+    rep = gp.axiom_suite(tg, B22)
+    assert outside and drop in outside
+    assert rep["ok"], rep["counterexamples"]
+    assert rep["elements"] == len(kept)
+    pairs = [(g, h) for g in kept for h in kept if g.y == h.x]
+    assert rep["composable_pairs"] == len(pairs)
+    assert rep["associativity_triples"] == sum(h.y == k.x for _, h in pairs for k in kept)
+
+
 @pytest.mark.parametrize("maker", [lambda: lambda_tg(2), lambda: grid(2)])
 def test_invariance(maker):
     g = maker()

@@ -73,6 +73,12 @@ def test_rank1_bouquet_presentation():
     assert g.factorize(two, Degree((1,)))[0] == g.morphism("e[1]")
 
 
+@pytest.mark.parametrize("doc", ["vertices: v", "vertices: v\nedges:\n  e[n] 1 v -> v\n"])
+def test_presentation_cutoff_below_one_is_rejected(doc):
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        load_presentation(doc, cutoff=0)
+
+
 def test_ambiguous_square_rejected():
     doc = TG_DOC + "\n  mu.beta[n] = lambda.alpha[n]\n"
     with pytest.raises(PresentationError, match="factorisation property violated"):
