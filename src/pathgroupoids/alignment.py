@@ -9,16 +9,27 @@ Minimal common extensions are computed at degree exactly
 lub(d(mu), d(nu)); by unique factorisation these generate the
 intersection of the principal right ideals, which the finite-graph
 brute-force oracle re-verifies in the test suite.
+
+Every suite asks for mce a row at a time: one mu against many nu of its
+range.  The row kernel (:func:`_mce_row`) walks mu's extension fiber at
+l = lub(d(mu), p) once for each degree p = d(nu) in the row and groups
+the extensions mu.kappa by their unique degree-p prefix, so the common
+extensions of (mu, nu) are the group of nu: a dict lookup instead of a
+prefix test per extension.  An extension without a unique prefix
+(incomplete square sets) is tested with ``prefix_leq`` as before, and a
+pair whose mu-side fiber is inexact still searches nu's side and then
+the annotations.  The index lives only as long as its row; :func:`mce`
+is the kernel run on a single pair.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .degree import Degree
-from .kgraph import KGraph, KGraphError, Morphism, per_graph
+from .kgraph import FactorizationError, KGraph, KGraphError, Morphism, per_graph
 
 
 class AnnotationError(KGraphError):
@@ -54,36 +65,73 @@ class FaVerdict:
     record: dict = field(default_factory=dict)
 
 
-def _mce_from_side(graph: KGraph, mu: Morphism, nu: Morphism, l: Degree):
-    """Common extensions of degree l found from mu's side, plus the
-    exactness flag of the fiber that was searched."""
-    fib = graph.fiber(mu.source, l.sub(mu.degree))
-    found = []
-    for kappa in fib.elements:
-        ext = graph.compose(mu, kappa)
-        if graph.prefix_leq(nu, ext):
-            found.append(ext)
-    return found, fib.exact
-
-
 def mce(mu: Morphism, nu: Morphism) -> MceResult:
     """Common extensions of mu and nu of degree lub(d(mu), d(nu)).
 
     Disjoint ranges give the empty exact result rather than an error.
     """
+    return next(_mce_row(mu, (nu,)))
+
+
+def _mce_row(mu: Morphism, nus) -> Iterator[MceResult]:
+    """``mce(mu, nu)`` for each nu in `nus`, in order, one at a time.
+
+    mu's extensions are indexed once per degree p = d(nu) of the row
+    (:func:`_extensions_by_prefix`); the index lives as long as the row.
+    """
     graph = mu.graph
-    if graph is not nu.graph:
-        raise KGraphError("mce arguments belong to different graphs")
-    if mu.range != nu.range:
-        return MceResult(MceKind.EXACT_FINITE, ())
-    l = mu.degree.lub(nu.degree)
-    mu_side, mu_exact = _mce_from_side(graph, mu, nu, l)
-    if mu_exact:
-        return MceResult(MceKind.EXACT_FINITE, tuple(sorted(set(mu_side), key=Morphism.sort_key)))
-    nu_side, nu_exact = _mce_from_side(graph, nu, mu, l)
+    index: dict[Degree, tuple] = {}
+    for nu in nus:
+        if graph is not nu.graph:
+            raise KGraphError("mce arguments belong to different graphs")
+        if mu.range != nu.range:
+            yield MceResult(MceKind.EXACT_FINITE, ())
+            continue
+        if nu.degree not in index:
+            index[nu.degree] = _extensions_by_prefix(mu, nu.degree)
+        mu_side, mu_exact = _common_extensions(index[nu.degree], nu)
+        if mu_exact:
+            yield MceResult(MceKind.EXACT_FINITE, mu_side)
+        else:
+            yield _mce_inexact(mu, nu, mu_side)
+
+
+def _extensions_by_prefix(mu: Morphism, p: Degree) -> tuple[dict, list, bool]:
+    """mu's extensions mu.kappa of degree lub(d(mu), p), grouped by their
+    unique degree-p prefix; those without a unique prefix (incomplete
+    square sets); and the exactness flag of mu's fiber."""
+    graph = mu.graph
+    fib = graph.fiber(mu.source, mu.degree.lub(p).sub(mu.degree))
+    groups: dict[Morphism, list[Morphism]] = {}
+    unsorted = []
+    for kappa in fib.elements:
+        ext = graph.compose(mu, kappa)
+        try:
+            prefix, _ = graph.factorize(ext, p)
+        except FactorizationError:
+            unsorted.append(ext)
+        else:
+            groups.setdefault(prefix, []).append(ext)
+    return groups, unsorted, fib.exact
+
+
+def _common_extensions(index: tuple, nu: Morphism) -> tuple[tuple[Morphism, ...], bool]:
+    """The indexed extensions that nu is a prefix of, sorted, and the
+    exactness flag of the fiber they came from."""
+    groups, unsorted, exact = index
+    found = set(groups.get(nu, ()))
+    found.update(ext for ext in unsorted if nu.graph.prefix_leq(nu, ext))
+    return tuple(sorted(found, key=Morphism.sort_key)), exact
+
+
+def _mce_inexact(mu: Morphism, nu: Morphism, mu_side: tuple[Morphism, ...]) -> MceResult:
+    """mce(mu, nu) when mu's fiber is inexact: search nu's fiber, then
+    the catalog annotations."""
+    nu_side, nu_exact = _common_extensions(_extensions_by_prefix(nu, mu.degree), mu)
     if nu_exact:
-        return MceResult(MceKind.EXACT_FINITE, tuple(sorted(set(nu_side), key=Morphism.sort_key)))
-    elements = tuple(sorted(set(mu_side) | set(nu_side), key=Morphism.sort_key))
+        return MceResult(MceKind.EXACT_FINITE, nu_side)
+    elements = tuple(sorted(set(nu_side).union(mu_side), key=Morphism.sort_key))
+    graph = mu.graph
     ann = graph.annotations
     if ann is not None:
         family = ann.declared_mce(mu, nu)
@@ -137,9 +185,7 @@ def fa_at(lam: Morphism, bound: Degree) -> FaVerdict:
         for mu in graph.right_ideal(lam, top):
             false_nu, unknown, row_pairs = _fa_row(mu, top)
             if false_nu is not None or unknown:
-                nu = next(
-                    n for n in _same_range(mu, top) if fa_at_pair(mu, n).value is not Verdict.TRUE
-                )
+                nu = next(n for n, res in _row(mu, top) if not res.is_finite())
                 raise KGraphError(
                     f"finite graph {graph.name}: pair ({mu}, {nu}) is not exactly finite"
                 )
@@ -184,14 +230,16 @@ def fa_at(lam: Morphism, bound: Degree) -> FaVerdict:
     return FaVerdict(Verdict.UNKNOWN_AT_BOUND, record={"mode": "search", "pairs": pairs})
 
 
-def _same_range(mu: Morphism, bound: Degree) -> list[Morphism]:
-    """The nu of degree <= bound with r(nu) = r(mu), in enumeration order."""
-    return [n for n in mu.graph.enumerate_morphisms(bound).morphisms if n.range == mu.range]
+def _row(mu: Morphism, bound: Degree) -> Iterator[tuple[Morphism, MceResult]]:
+    """``(nu, mce(mu, nu))`` for the nu of degree <= bound with
+    r(nu) = r(mu), in enumeration order."""
+    nus = [n for n in mu.graph.enumerate_morphisms(bound).morphisms if n.range == mu.range]
+    return zip(nus, _mce_row(mu, nus))
 
 
 @per_graph
 def _fa_row(mu: Morphism, bound: Degree) -> tuple[Optional[Morphism], int, int]:
-    """mu's row of pairs (mu, nu) for nu in :func:`_same_range`:
+    """mu's row of pairs (mu, nu) for nu in :func:`_row`:
     ``(first nu whose pair is False or None, unknown pairs, pairs)``.
 
     The row is shared by every prefix of mu.  It stops at the first
@@ -199,12 +247,11 @@ def _fa_row(mu: Morphism, bound: Degree) -> tuple[Optional[Morphism], int, int]:
     a different error first.
     """
     pairs = unknown = 0
-    for nu in _same_range(mu, bound):
-        v = fa_at_pair(mu, nu).value
+    for nu, res in _row(mu, bound):
         pairs += 1
-        if v is Verdict.FALSE:
+        if res.kind is MceKind.DECLARED_INFINITE:
             return nu, unknown, pairs
-        if v is Verdict.UNKNOWN_AT_BOUND:
+        if res.kind is MceKind.TRUNCATED_UNKNOWN:
             unknown += 1
     return None, unknown, pairs
 
@@ -244,11 +291,10 @@ def check_fa_structure(graph: KGraph, bound: Degree) -> dict:
                 right_ideal_bad.append((lam, ext))
     report["right_ideal"] = _ok(right_ideal_bad)
 
+    universe_by_range = _by_range(universe)
     final_segment_bad = []
     for m in universe:
-        for nu in universe:
-            if m.source != nu.range:
-                continue
+        for nu in universe_by_range.get(m.source, ()):
             if is_fa(graph.compose(m, nu)) is Verdict.TRUE and is_fa(nu) is not Verdict.TRUE:
                 final_segment_bad.append((m, nu))
     report["final_segments"] = _ok(final_segment_bad)
@@ -269,12 +315,11 @@ def check_fa_structure(graph: KGraph, bound: Degree) -> dict:
                     propagate_bad.append((m, kappa))
     report["source_propagation"] = _ok(propagate_bad)
 
+    fa_by_range = _by_range(fa)
     mce_bad, mce_pairs = [], 0
     for mu in fa:
-        for nu in fa:
-            if mu.range != nu.range:
-                continue
-            res = mce(mu, nu)
+        nus = fa_by_range[mu.range]
+        for nu, res in zip(nus, _mce_row(mu, nus)):
             mce_pairs += 1
             if res.kind is MceKind.DECLARED_INFINITE:
                 mce_bad.append((mu, nu, "infinite"))
@@ -289,6 +334,14 @@ def check_fa_structure(graph: KGraph, bound: Degree) -> dict:
                   "source_propagation", "mce_inside_fa")
     )
     return report
+
+
+def _by_range(morphisms: list[Morphism]) -> dict:
+    """The morphisms grouped by range, each group in the given order."""
+    out: dict = {}
+    for m in morphisms:
+        out.setdefault(m.range, []).append(m)
+    return out
 
 
 def _ok(bad: list) -> dict:
@@ -337,21 +390,20 @@ def validate_relative_cop(graph: KGraph, bound: Degree) -> dict:
     in_far = far_predicate(graph, bound)
     universe = graph.enumerate_morphisms(bound).morphisms
     far = [m for m in universe if in_far(m)]
+    far_by_range = _by_range(far)
 
     compose_bad = []
     for mu in far:
-        for nu in far:
-            if mu.source == nu.range and not in_far(graph.compose(mu, nu)):
+        for nu in far_by_range.get(mu.source, ()):
+            if not in_far(graph.compose(mu, nu)):
                 compose_bad.append((mu, nu))
     source_bad = [m for m in far if not in_far(graph.unit(m.source))]
     range_bad = [m for m in far if not in_far(graph.unit(m.range))]
 
     mce_bad = []
     for mu in far:
-        for nu in far:
-            if mu.range != nu.range:
-                continue
-            res = mce(mu, nu)
+        nus = far_by_range[mu.range]
+        for nu, res in zip(nus, _mce_row(mu, nus)):
             if res.kind is MceKind.DECLARED_INFINITE:
                 mce_bad.append((mu, nu, "infinite"))
             elif res.kind is MceKind.EXACT_FINITE and any(

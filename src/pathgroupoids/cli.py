@@ -10,6 +10,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -271,9 +272,14 @@ def _short(v) -> bool:
     return len(json.dumps(v)) < 100
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     config = {
         "graph": args.graph,
         "cutoff": args.cutoff,

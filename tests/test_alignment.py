@@ -1,9 +1,6 @@
 import collections
 import dataclasses
-import importlib.util
 import itertools
-import pathlib
-import random
 
 import pytest
 
@@ -18,8 +15,8 @@ from pathgroupoids.catalog import (
     squares_graph,
 )
 from pathgroupoids.degree import Degree
-from pathgroupoids.kgraph import KGraphError, load_presentation
-from test_oracles import brute_ideal_intersection, brute_union_of_ideals
+from pathgroupoids.kgraph import FiberResult, KGraphError, load_presentation
+from test_oracles import brute_ideal_intersection, brute_union_of_ideals, gen_product
 
 B22 = Degree((2, 2))
 
@@ -33,15 +30,6 @@ edges:
 squares:
   mu.beta[n] = lambda.alpha[n]
 """
-
-
-def _gen_product(size=(2, 2, 2, 1), seed=7):
-    """A seeded twisted product from the benchmark's generator."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return load_presentation(gen.twisted_product(*size, random.Random(seed)))
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +176,7 @@ MAKERS = {
     "tg-infinity": lambda: lambda_tg_infinity(2, 3),
     "yee": lambda: lambda_yee(3),
     "user": lambda: load_presentation(USER_DOC, cutoff=3),
-    "product": _gen_product,
+    "product": gen_product,
 }
 
 
@@ -206,15 +194,18 @@ def test_row_sums_match_the_nested_scan(name):
 
 @pytest.mark.parametrize("name", ["line", "grid", "squares", "user", "product"])
 def test_fa_set_runs_mce_once_per_pair(name, monkeypatch):
+    """Every mce, a row's or a single pair's, comes from the row kernel;
+    counted there, each pair is computed once."""
     g = MAKERS[name]()
     calls = collections.Counter()
-    mce = al.mce
+    row = al._mce_row
 
-    def counted(mu, nu):
-        calls[mu, nu] += 1
-        return mce(mu, nu)
+    def counted(mu, nus):
+        for nu, res in zip(nus, row(mu, nus)):
+            calls[mu, nu] += 1
+            yield res
 
-    monkeypatch.setattr(al, "mce", counted)
+    monkeypatch.setattr(al, "_mce_row", counted)
     al.fa_set(g, _bound(g))
     assert calls and set(calls.values()) == {1}
 
@@ -234,10 +225,11 @@ def test_false_pair_under_an_fa_annotation_raises_on_every_call():
 
 
 def test_finite_graph_with_an_inexact_pair_raises(monkeypatch):
+    """A finite graph whose fibers all claim to be inexact: no pair is
+    exactly finite, so fa_at names the first pair of lam's rows."""
     g = grid(2)
-    monkeypatch.setattr(
-        al, "fa_at_pair", lambda mu, nu: al.FaVerdict(Verdict.UNKNOWN_AT_BOUND)
-    )
+    fiber = g.fiber
+    monkeypatch.setattr(g, "fiber", lambda v, p: FiberResult(fiber(v, p).elements, False))
     lam = g.enumerate_morphisms(B22).morphisms[-1]
     first_nu = next(n for n in g.all_morphisms() if n.range == lam.range)
     with pytest.raises(KGraphError, match="is not exactly finite") as err:

@@ -5,8 +5,9 @@ import sys
 import jsonschema
 import pytest
 
-from pathgroupoids import groupoid
-from pathgroupoids.cli import main
+from pathgroupoids import cli, groupoid
+from pathgroupoids.catalog import catalog_names
+from pathgroupoids.cli import build_parser, main
 from pathgroupoids.schema import ELEMENT_SCHEMA, REPORT_SCHEMA, VERDICT_SCHEMA
 
 BAD_SQUARES = """
@@ -64,6 +65,18 @@ def test_cutoff_below_one_is_an_input_error(graph, tmp_path, capsys):
         graph = str(doc)
     assert main(["paths", "--graph", graph, "--cutoff", "0"]) == 2
     assert "input error: cutoff must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph", catalog_names())
+@pytest.mark.parametrize("option", ["--cutoff", "--blocks"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_catalog_rejects_cutoff_and_blocks_below_one(graph, option, value, capsys):
+    """Also on the graphs that do not use the value: the report would
+    echo it in its config."""
+    assert main(["validate", "--graph", graph, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: {option[2:]} must be >= 1" in captured.err
 
 
 def test_bad_bound_is_an_input_error(capsys):
@@ -212,6 +225,7 @@ def test_text_and_json_agree_on_verdicts(capsys):
         ("groupoid", "--graph", "tg", "--cutoff", "2", "--format", "json"),
         ("validate", "--graph", "yee", "--format", "json"),
         ("groupoid", "--graph", "grid", "--spielberg", "--format", "json"),
+        ("align", "--graph", "yee", "--cutoff", "6", "--all", "--structure", "--format", "json"),
     ],
 )
 def test_byte_identical_reports_across_processes(argv):
@@ -222,3 +236,25 @@ def test_byte_identical_reports_across_processes(argv):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     jsonschema.validate(json.loads(first.stdout), REPORT_SCHEMA)
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    """Repeated calls reuse one parser, and --help still prints what a
+    freshly built parser prints."""
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["validate", "--graph", "line"]) == 0
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert len(built) == 1
+        assert capsys.readouterr().out.endswith(build_parser().format_help())
+    finally:
+        cli._parser.cache_clear()

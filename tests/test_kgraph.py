@@ -222,10 +222,8 @@ def test_factorize_failures_are_cached(monkeypatch):
         assert graph.tails(mu, lam) == []
 
 
-def test_tails_trusts_a_search_that_found_nothing(monkeypatch):
-    """A word category with the bicolored path a.b in no square: c of
-    color 1 shares the range of a.b but is no prefix of it, which the
-    failed search already showed."""
+def word_graph():
+    """A word category with the bicolored paths a.b and c.d in no square."""
     n = {s: Name(s) for s in ("x", "y", "z", "p", "q", "a", "b", "c", "d")}
     edges = [
         Edge(n["a"], 2, n["y"], n["x"]),
@@ -233,7 +231,13 @@ def test_tails_trusts_a_search_that_found_nothing(monkeypatch):
         Edge(n["c"], 1, n["p"], n["x"]),
         Edge(n["d"], 2, n["q"], n["p"]),
     ]
-    graph = KGraph("word", 2, [n[v] for v in "xyzpq"], edges, expect_complete=False)
+    return KGraph("word", 2, [n[v] for v in "xyzpq"], edges, expect_complete=False)
+
+
+def test_tails_trusts_a_search_that_found_nothing(monkeypatch):
+    """In the word category, c of color 1 shares the range of a.b but is
+    no prefix of it, which the failed search already showed."""
+    graph = word_graph()
     ab, c = graph.morphism("a.b"), graph.morphism("c")
     with pytest.raises(FactorizationError, match="no factorisation"):
         graph.factorize(ab, c.degree)

@@ -2,17 +2,40 @@
 set and the triple class partition from first principles and compare
 them with the library's enumerations."""
 
+import importlib.util
 import itertools
+import pathlib
+import random
+
+import pytest
 
 from pathgroupoids import alignment as al
 from pathgroupoids import groupoid as gp
 from pathgroupoids import pspace as ps
 from pathgroupoids import spielberg as sp
-from pathgroupoids.catalog import finite_examples, grid, lambda_tg, squares_graph
+from pathgroupoids.alignment import MceKind, MceResult
+from pathgroupoids.catalog import (
+    finite_examples,
+    grid,
+    lambda_tg,
+    lambda_tg_infinity,
+    lambda_yee,
+    squares_graph,
+)
 from pathgroupoids.degree import Degree
-from pathgroupoids.kgraph import Morphism
+from pathgroupoids.kgraph import KGraph, Morphism, load_presentation
+from test_kgraph import word_graph
 
 B22 = Degree((2, 2))
+
+
+def gen_product(size=(2, 2, 2, 1), seed=7):
+    """A seeded twisted product from the benchmark's generator."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return load_presentation(gen.twisted_product(*size, random.Random(seed)))
 
 
 def brute_ideal_intersection(graph, mu, nu):
@@ -324,3 +347,71 @@ def test_tight_filter_oracle_is_invariant_and_old_identity_is_not():
     }
     assert ("{t, beta[1]}", (1, 0), "{u}") in escapes
     assert len(escapes) == 24 and len(elements) == 102
+
+
+# -- the row kernel against the per-pair mce ---------------------------------
+
+
+def per_pair_mce(mu, nu):
+    """mce one pair at a time, with a prefix test per extension: mu's
+    fiber at lub(d(mu), d(nu)), then nu's if mu's is inexact, then the
+    annotations."""
+    graph = mu.graph
+    if mu.range != nu.range:
+        return MceResult(MceKind.EXACT_FINITE, ())
+    l = mu.degree.lub(nu.degree)
+
+    def side(a, b):
+        fib = graph.fiber(a.source, l.sub(a.degree))
+        exts = (graph.compose(a, kappa) for kappa in fib.elements)
+        return {ext for ext in exts if graph.prefix_leq(b, ext)}, fib.exact
+
+    mu_side, mu_exact = side(mu, nu)
+    if mu_exact:
+        return MceResult(MceKind.EXACT_FINITE, tuple(sorted(mu_side, key=Morphism.sort_key)))
+    nu_side, nu_exact = side(nu, mu)
+    if nu_exact:
+        return MceResult(MceKind.EXACT_FINITE, tuple(sorted(nu_side, key=Morphism.sort_key)))
+    elements = tuple(sorted(mu_side | nu_side, key=Morphism.sort_key))
+    family = graph.annotations and graph.annotations.declared_mce(mu, nu)
+    if family:
+        assert tuple(sorted(set(family.members()), key=Morphism.sort_key)) == elements
+        return MceResult(MceKind.DECLARED_INFINITE, elements, family.description)
+    return MceResult(MceKind.TRUNCATED_UNKNOWN, elements)
+
+
+MCE_GRAPHS = {
+    **{g.name: (lambda g=g: g) for g in finite_examples()},
+    "product": gen_product,
+    "yee": lambda: lambda_yee(3),
+    "tg": lambda: lambda_tg(3),
+    "tg-infinity": lambda: lambda_tg_infinity(2, 3),
+    "word": word_graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MCE_GRAPHS))
+def test_row_kernel_matches_the_per_pair_mce(name, monkeypatch):
+    """Kind, elements and family agree pair by pair, for whole rows and
+    for single pairs.  The kernel tests a prefix only for extensions
+    without a unique factorisation, which only the word category has."""
+    graph = MCE_GRAPHS[name]()
+    morphs = graph.enumerate_morphisms(B22 if graph.rank == 2 else Degree((3,))).morphisms
+    prefix_tests = []
+    prefix_leq = KGraph.prefix_leq
+    monkeypatch.setattr(
+        KGraph, "prefix_leq", lambda *args: prefix_tests.append(1) or prefix_leq(*args)
+    )
+    fallback = set()
+    for mu in morphs:
+        row = al._mce_row(mu, morphs)
+        for nu in morphs:
+            before = len(prefix_tests)
+            got = next(row)
+            if len(prefix_tests) > before:
+                fallback.add((str(mu), str(nu)))
+            want = per_pair_mce(mu, nu)
+            assert got == want, (str(mu), str(nu))
+            assert al.mce(mu, nu) == want, (str(mu), str(nu))
+    expected = {("a", "c"), ("c", "a"), ("a.b", "c"), ("c.d", "a")} if name == "word" else set()
+    assert fallback == expected
