@@ -16,9 +16,9 @@ l = lub(d(mu), p) once for each degree p = d(nu) in the row and groups
 the extensions mu.kappa by their unique degree-p prefix, so the common
 extensions of (mu, nu) are the group of nu: a dict lookup instead of a
 prefix test per extension.  An extension without a unique prefix
-(incomplete square sets) is tested with ``prefix_leq`` as before, and a
-pair whose mu-side fiber is inexact still searches nu's side and then
-the annotations.  The index lives only as long as its row; :func:`mce`
+(incomplete square sets) is tested with ``prefix_leq``, and a pair
+whose mu-side fiber is inexact searches nu's side and then the
+annotations.  The index lives only as long as its row; :func:`mce`
 is the kernel run on a single pair.
 """
 
@@ -103,24 +103,24 @@ def _extensions_by_prefix(mu: Morphism, p: Degree) -> tuple[dict, list, bool]:
     graph = mu.graph
     fib = graph.fiber(mu.source, mu.degree.lub(p).sub(mu.degree))
     groups: dict[Morphism, list[Morphism]] = {}
-    unsorted = []
+    ungrouped = []
     for kappa in fib.elements:
         ext = graph.compose(mu, kappa)
         try:
             prefix, _ = graph.factorize(ext, p)
         except FactorizationError:
-            unsorted.append(ext)
+            ungrouped.append(ext)
         else:
             groups.setdefault(prefix, []).append(ext)
-    return groups, unsorted, fib.exact
+    return groups, ungrouped, fib.exact
 
 
 def _common_extensions(index: tuple, nu: Morphism) -> tuple[tuple[Morphism, ...], bool]:
     """The indexed extensions that nu is a prefix of, sorted, and the
     exactness flag of the fiber they came from."""
-    groups, unsorted, exact = index
+    groups, ungrouped, exact = index
     found = set(groups.get(nu, ()))
-    found.update(ext for ext in unsorted if nu.graph.prefix_leq(nu, ext))
+    found.update(ext for ext in ungrouped if nu.graph.prefix_leq(nu, ext))
     return tuple(sorted(found, key=Morphism.sort_key)), exact
 
 
@@ -131,8 +131,7 @@ def _mce_inexact(mu: Morphism, nu: Morphism, mu_side: tuple[Morphism, ...]) -> M
     if nu_exact:
         return MceResult(MceKind.EXACT_FINITE, nu_side)
     elements = tuple(sorted(set(nu_side).union(mu_side), key=Morphism.sort_key))
-    graph = mu.graph
-    ann = graph.annotations
+    ann = mu.graph.annotations
     if ann is not None:
         family = ann.declared_mce(mu, nu)
         if family is not None:
@@ -211,8 +210,8 @@ def fa_at(lam: Morphism, bound: Degree) -> FaVerdict:
             record={"mode": "annotation", "family": res.family},
         )
 
-    # fa_at_pair is False only for a declared infinite family, which
-    # needs annotations: a False pair always raises here.
+    # A pair is False only for a declared infinite family, which needs
+    # annotations: a False pair always raises here.
     pairs = unknown = 0
     for mu in graph.right_ideal(lam, bound):
         false_nu, row_unknown, row_pairs = _fa_row(mu, bound)
