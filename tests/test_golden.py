@@ -1,0 +1,114 @@
+"""Golden report digests: the sha256 of stdout and the exit code of a
+fixed matrix of CLI runs, pinned in ``golden.json``.
+
+A change that keeps every report leaves the table as it is.  A
+deliberate report change regenerates it, from the root of a checkout:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names the changed keys in CHANGES.md.  The matrix holds the fast
+runs only; ``paths`` on grid, yee and tg-infinity take over a second
+each and are left out.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from pathgroupoids import cli
+from pathgroupoids.catalog import catalog_names
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+# Malformed documents, written to the working directory of the run so
+# that the report names them the same way on every machine.
+BAD_DOCS = {
+    "bad_family_index.kg": "vertices: a b\nedges:\n  e[n] 1 a -> b[n]\n",
+    "bad_vertex_index.kg": "vertices: a[x] b\n",
+}
+
+
+def _matrix() -> list[list[str]]:
+    runs = []
+    for graph in catalog_names():
+        runs.append(["validate", "--graph", graph])
+        runs.append(["align", "--graph", graph, "--all", "--structure"])
+        runs.append(["groupoid", "--graph", graph, "--spielberg"])
+    for graph in ("tg", "squares", "line", "cycle"):
+        runs.append(["paths", "--graph", graph])
+    runs.append(["paths", "--graph", "tg", "--probe", "lambda"])
+    runs.append(["paths", "--graph", "tg", "--probe", "beta[1]"])
+    runs.append(["groupoid", "--graph", "tg"])
+    runs.append(["groupoid", "--graph", "tg", "--compare-relative", "--cutoff", "5"])
+    runs.extend(["validate", "--graph", name] for name in BAD_DOCS)
+    out = []
+    for i, argv in enumerate(runs):
+        out.append([*argv, "--format", "json"])
+        if i % 3 == 0:
+            out.append([*argv, "--format", "text"])
+    return out
+
+
+MATRIX = {" ".join(argv): argv for argv in _matrix()}
+
+
+def write_bad_docs(directory: Path) -> None:
+    for name, text in BAD_DOCS.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+def run(argv: list[str]) -> dict:
+    """The exit code and the sha256 of stdout of one in-process run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def docs_dir(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("golden")
+    write_bad_docs(directory)
+    return directory
+
+
+def test_table_covers_the_matrix(golden):
+    assert sorted(golden) == sorted(MATRIX)
+
+
+@pytest.mark.parametrize("key", sorted(MATRIX))
+def test_report_matches_golden(key, golden, docs_dir, monkeypatch):
+    monkeypatch.chdir(docs_dir)
+    assert run(MATRIX[key]) == golden[key]
+
+
+def main() -> int:
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        write_bad_docs(Path(directory))
+        os.chdir(directory)
+        try:
+            table = {key: run(argv) for key, argv in MATRIX.items()}
+        finally:
+            os.chdir(here)
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(table)} digests written to {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
