@@ -72,7 +72,18 @@ def parse_name(text: str) -> Name:
     base, idx = m.group(1), m.group(2)
     if idx is None:
         return Name(base)
-    return Name(base, tuple(int(p) for p in idx.split(",")))
+    try:
+        return Name(base, tuple(int(p) for p in idx.split(",")))
+    except ValueError:
+        raise PresentationError(f"malformed name {text!r}: indices must be integers") from None
+
+
+def _name_at(text: str, lineno: int) -> Name:
+    """:func:`parse_name` for a document, with the line in its error."""
+    try:
+        return parse_name(text)
+    except PresentationError as exc:
+        raise PresentationError(str(exc), line=lineno) from None
 
 
 @dataclass(frozen=True)
@@ -700,7 +711,7 @@ def load_presentation(text: str, name: str = "user", cutoff: int = 3) -> KGraph:
                 continue
         if section == "vertices":
             for tok in line.split():
-                v = parse_name(tok)
+                v = _name_at(tok, lineno)
                 if v.index:
                     raise PresentationError("vertex families are not supported in documents", line=lineno)
                 if v in vertices:
@@ -712,11 +723,11 @@ def load_presentation(text: str, name: str = "user", cutoff: int = 3) -> KGraph:
                 raise PresentationError(f"malformed edge line {line!r}", line=lineno)
             color = int(m.group("color"))
             max_color = max(max_color, color)
-            src = parse_name(m.group("source"))
-            rng = parse_name(m.group("range"))
+            src = _name_at(m.group("source"), lineno)
+            rng = _name_at(m.group("range"), lineno)
             base, idx_vars = _split_family_name(m.group("name"), lineno)
             if idx_vars is None:
-                edges.append(Edge(parse_name(m.group("name")), color, src, rng))
+                edges.append(Edge(_name_at(m.group("name"), lineno), color, src, rng))
             else:
                 if base in family_vars:
                     raise PresentationError(f"duplicate family {base}", line=lineno)

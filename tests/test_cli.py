@@ -46,6 +46,22 @@ def test_validate_bad_squares(tmp_path, capsys):
     assert "factorisation property violated" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "doc, line, name",
+    [
+        ("vertices: a b\nedges:\n  e[n] 1 a -> b[n]\n", 3, "b[n]"),
+        ("vertices: a[x] b\n", 1, "a[x]"),
+    ],
+)
+def test_validate_non_integer_name_index(tmp_path, capsys, doc, line, name):
+    path = tmp_path / "bad.kg"
+    path.write_text(doc)
+    assert main(["validate", "--graph", str(path), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)["results"]
+    assert report["valid"] is False
+    assert report["diagnostic"].startswith(f"line {line}: malformed name {name!r}")
+
+
 def test_missing_file_is_an_input_error(capsys):
     assert main(["validate", "--graph", "/no/such/file"]) == 2
     assert "input error" in capsys.readouterr().err
