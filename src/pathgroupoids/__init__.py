@@ -24,13 +24,12 @@ from .pspace import (
     cylinder_membership,
     enumerate_filters,
     is_filter,
-    make_filter,
     pointwise_limit,
     principal,
     ps_membership,
     ultrafilters,
 )
-from .action import act, directed_witness, domain_membership, shift_off, shift_on
+from .action import act, directed_witness, shift_off, shift_on
 from .groupoid import (
     BasicGroupoidSet,
     GroupoidElement,
@@ -60,10 +59,10 @@ __all__ = [
     "KGraphError", "PresentationError", "ComposabilityError", "FactorizationError",
     "Verdict", "MceKind", "MceResult", "FaVerdict", "mce", "fa_at", "fa_set", "is_fa",
     "Filter", "ExplicitSubset", "Cylinder", "DescribedSequence",
-    "is_filter", "make_filter", "principal", "enumerate_filters", "ultrafilters",
+    "is_filter", "principal", "enumerate_filters", "ultrafilters",
     "cylinder_membership", "pointwise_limit", "ps_membership", "bps_enumerate",
     "compactness_probe",
-    "shift_off", "shift_on", "act", "domain_membership", "directed_witness",
+    "shift_off", "shift_on", "act", "directed_witness",
     "GroupoidElement", "BasicGroupoidSet", "make_element", "unit_element",
     "compose_elements", "invert", "basic_set_membership", "enumerate_pg",
     "EHatSet", "SpielbergTriple", "e_hat_membership", "triple_equiv", "sp_compose",

@@ -17,12 +17,9 @@ from .alignment import Verdict, is_fa
 from .degree import Degree
 from .kgraph import FactorizationError, KGraph, KGraphError, Morphism, per_graph
 from .pspace import (
-    Cylinder,
     Filter,
     LimitOutcome,
-    cylinder,
     declared_sequences,
-    default_probe,
     disjoint_limit,
     enumerate_filters,
     in_ps,
@@ -30,6 +27,7 @@ from .pspace import (
     ps_filters,
     ps_membership,
     ultrafilters,
+    upper_bound_in,
 )
 
 
@@ -73,23 +71,6 @@ def degree_witness(x: Filter, m: Degree) -> Optional[Morphism]:
     return hits[0] if hits else None
 
 
-@dataclass
-class DomainAnswer:
-    member: bool
-    witness: Optional[Morphism] = None
-    open_witness: Optional[Cylinder] = None
-
-
-def domain_membership(x: Filter, m: Degree) -> DomainAnswer:
-    """(x, m) lies in the action domain iff x holds an element of degree
-    m; the witness's cylinder is the openness certificate Z(x(e,m))
-    contained in D_m."""
-    w = degree_witness(x, m)
-    if w is None:
-        return DomainAnswer(False)
-    return DomainAnswer(True, w, cylinder(w))
-
-
 @dataclass(frozen=True)
 class ActionValue:
     filter: Filter
@@ -112,39 +93,31 @@ def act(x: Filter, m: Degree) -> Filter:
     return act_flagged(x, m).filter
 
 
-def directed_witness(m: Degree, n: Degree, x: Filter) -> tuple[Degree, Morphism]:
+@per_graph
+def directed_witness(x: Filter, m: Degree, n: Degree) -> tuple[Degree, Morphism]:
     """For x in D_m and D_n, produce l = lub(m, n) and the element of x
     showing x in D_l (directedness of the filter supplies it)."""
-    return _directed_witness(x, m, n)
-
-
-@per_graph
-def _directed_witness(x: Filter, m: Degree, n: Degree) -> tuple[Degree, Morphism]:
-    graph = x.graph
     wm, wn = degree_witness(x, m), degree_witness(x, n)
     if wm is None or wn is None:
         raise ShiftDomainError(f"{x} is not in both domains D{m}, D{n}")
     l = m.lub(n)
-    for kappa in sorted(x.elements, key=Morphism.sort_key):
-        if graph.prefix_leq(wm, kappa) and graph.prefix_leq(wn, kappa):
-            prefix, _ = graph.factorize(kappa, l)
-            if not x.contains(prefix):
-                raise KGraphError(f"filter {x} is not hereditary at {prefix}")
-            return l, prefix
-    raise ShiftDomainError(f"no directedness witness for {wm}, {wn} in {x}")
+    kappa = upper_bound_in(x, (wm, wn))
+    if kappa is None:
+        raise ShiftDomainError(f"no directedness witness for {wm}, {wn} in {x}")
+    prefix, _ = x.graph.factorize(kappa, l)
+    if not x.contains(prefix):
+        raise KGraphError(f"filter {x} is not hereditary at {prefix}")
+    return l, prefix
 
 
 # -- exhaustive checks -------------------------------------------------------
 
 
-def _filters_and_morphisms(graph: KGraph, bound: Degree):
-    return enumerate_filters(graph, bound).filters, graph.enumerate_morphisms(bound).morphisms
-
-
 def check_roundtrips(graph: KGraph, bound: Degree) -> dict:
     """shift_on(lam, shift_off(lam, x)) = x for lam in x, and the other
     way around when s(lam) = r(x)."""
-    filters, morphs = _filters_and_morphisms(graph, bound)
+    filters = enumerate_filters(graph, bound).filters
+    morphs = graph.enumerate_morphisms(bound).morphisms
     bad, checked = [], 0
     for x in filters:
         for lam in sorted(x.elements, key=Morphism.sort_key):
@@ -163,7 +136,8 @@ def check_roundtrips(graph: KGraph, bound: Degree) -> dict:
 def check_cocycle(graph: KGraph, bound: Degree) -> dict:
     """shift_off(mu, shift_off(lam, x)) = shift_off(lam.mu, x) when
     lam.mu in x, and dually for right shifts."""
-    filters, morphs = _filters_and_morphisms(graph, bound)
+    filters = enumerate_filters(graph, bound).filters
+    morphs = graph.enumerate_morphisms(bound).morphisms
     bad, checked = [], 0
     for lam in morphs:
         for mu in morphs:
@@ -186,7 +160,8 @@ def check_ultrafilter_preservation(graph: KGraph, bound: Degree) -> dict:
     """Shifts of enumerated ultrafilters stay maximal, re-verified by an
     inclusion scan against the full enumeration."""
     ultra = set(ultrafilters(graph, bound).filters)
-    filters, morphs = _filters_and_morphisms(graph, bound)
+    filters = enumerate_filters(graph, bound).filters
+    morphs = graph.enumerate_morphisms(bound).morphisms
 
     def still_maximal(y: Filter) -> bool:
         return not any(y.elements < z.elements for z in filters)
@@ -241,10 +216,7 @@ def check_action_axioms(graph: KGraph, bound: Degree) -> dict:
     for x in ps:
         for m in degrees:
             for n in degrees:
-                try:
-                    total = m.add(n)
-                except Exception:
-                    continue
+                total = m.add(n)
                 in_total = degree_witness(x, total) is not None
                 in_m = degree_witness(x, m) is not None
                 in_step = in_m and degree_witness(act(x, m), n) is not None
@@ -259,10 +231,21 @@ def check_action_axioms(graph: KGraph, bound: Degree) -> dict:
             for n in degrees:
                 if degree_witness(x, m) is not None and degree_witness(x, n) is not None:
                     checked += 1
-                    l, witness = directed_witness(m, n, x)
+                    l, witness = directed_witness(x, m, n)
                     if l != m.lub(n) or witness.degree != l or not x.contains(witness):
                         bad.append(("directed", str(x), str(m), str(n)))
     return {"ok": not bad, "checked": checked, "counterexamples": bad[:5]}
+
+
+def _fa_chart(x: Filter, mu: Morphism) -> Optional[tuple[Morphism, Morphism]]:
+    """The least FA extension of mu inside x, in sort order, and its tail
+    after mu; None when x holds no FA extension of mu."""
+    graph = x.graph
+    exts = [k for k in x.elements if graph.prefix_leq(mu, k) and is_fa(k) is Verdict.TRUE]
+    if not exts:
+        return None
+    ext = min(exts, key=Morphism.sort_key)
+    return ext, graph.factorize(ext, mu.degree)[1]
 
 
 def check_codomain_open(graph: KGraph, bound: Degree) -> dict:
@@ -277,20 +260,15 @@ def check_codomain_open(graph: KGraph, bound: Degree) -> dict:
             if mu is None:
                 continue
             checked += 1
-            mu_primes = [
-                k
-                for k in x.elements
-                if graph.prefix_leq(mu, k) and is_fa(k) is Verdict.TRUE
-            ]
-            if not mu_primes:
-                bad.append((str(x), str(m), "no FA extension of the witness"))
-                continue
-            ext = sorted(mu_primes, key=Morphism.sort_key)[0]
             try:
-                _, mu_prime = graph.factorize(ext, m)
+                chart = _fa_chart(x, mu)
             except FactorizationError:
                 bad.append((str(x), str(m), "witness does not factor"))
                 continue
+            if chart is None:
+                bad.append((str(x), str(m), "no FA extension of the witness"))
+                continue
+            _, mu_prime = chart
             for y in ps:
                 if not y.contains(mu_prime):
                     continue
@@ -312,14 +290,11 @@ def check_local_homeo_witness(graph: KGraph, bound: Degree) -> dict:
             mu = degree_witness(x, m)
             if mu is None:
                 continue
-            fa_exts = [
-                k for k in x.elements if graph.prefix_leq(mu, k) and is_fa(k) is Verdict.TRUE
-            ]
-            if not fa_exts:
+            chart = _fa_chart(x, mu)
+            if chart is None:
                 bad.append((str(x), str(m), "no FA extension"))
                 continue
-            mumu = sorted(fa_exts, key=Morphism.sort_key)[0]
-            _, mu_prime = graph.factorize(mumu, m)
+            mumu, mu_prime = chart
             checked += 1
             dom = [y for y in ps if y.contains(mumu)]
             images = [shift_off(mu, y) for y in dom]
@@ -340,14 +315,12 @@ def check_shift_continuity(graph: KGraph, bound: Degree) -> dict:
     between the shifted limit and the limit of the shifted family."""
     results: dict = {"left": [], "right": [], "ok": True}
     for seq in declared_sequences(graph):
-        probe = default_probe(graph, bound, seq)
-        res = pointwise_limit(seq, probe)
+        res = pointwise_limit(seq, bound)
         if res.outcome is not LimitOutcome.CONVERGES or not res.complete:
             continue
-        lim_ok, _ = res.limit_is_filter()
         terms = seq.terms()
-        if lim_ok:
-            lim = Filter(graph, res.limit.elements)
+        if res.reason is None:
+            lim = res.limit
             common = disjoint_limit(terms) & lim.elements
             for lam in sorted(common, key=Morphism.sort_key):
                 shifted = [shift_off(lam, t) for t in terms]

@@ -145,16 +145,6 @@ def _mce_inexact(mu: Morphism, nu: Morphism, mu_side: tuple[Morphism, ...]) -> M
     return MceResult(MceKind.TRUNCATED_UNKNOWN, elements)
 
 
-def fa_at_pair(mu: Morphism, nu: Morphism) -> FaVerdict:
-    """Is the graph finitely aligned at the pair (mu, nu)?"""
-    res = mce(mu, nu)
-    if res.kind is MceKind.EXACT_FINITE:
-        return FaVerdict(Verdict.TRUE, record={"mce_size": len(res.elements)})
-    if res.kind is MceKind.DECLARED_INFINITE:
-        return FaVerdict(Verdict.FALSE, witness=(mu, nu), record={"family": res.family})
-    return FaVerdict(Verdict.UNKNOWN_AT_BOUND, record={"enumerated": len(res.elements)})
-
-
 def is_fa(m: Morphism) -> Verdict:
     """Membership of FA(Lambda): exact for finite graphs, annotation-backed
     for catalog graphs, unknown otherwise."""
@@ -347,14 +337,10 @@ def _ok(bad: list) -> dict:
     return {"ok": not bad, "counterexamples": [tuple(str(x) for x in b) for b in bad[:5]]}
 
 
-def validate_constellation(graph: KGraph, bound: Degree) -> dict:
-    """FA(Lambda) as a right constellation: closed under composition and
-    source (the category laws are already covered by the kgraph suite)."""
-    return _constellation(check_fa_structure(graph, bound))
-
-
-def _constellation(structure: dict) -> dict:
-    """The constellation report read off a :func:`check_fa_structure` report."""
+def constellation(structure: dict) -> dict:
+    """FA(Lambda) as a right constellation, closed under composition and
+    source, read off a :func:`check_fa_structure` report (the category
+    laws are already covered by the kgraph suite)."""
     report = {
         "bound": structure["bound"],
         "closed_under_composition": structure["right_ideal"],

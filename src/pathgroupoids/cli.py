@@ -147,7 +147,7 @@ def cmd_align(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
         results["verdicts"] = [_verdict_json(m, v) for m, v in al.fa_set(graph, bound)]
     if args.structure:
         structure = al.check_fa_structure(graph, bound)
-        constellation = al._constellation(structure)
+        constellation = al.constellation(structure)
         relative = al.validate_relative_cop(graph, bound)
         results["fa_structure"] = _plain(structure)
         results["constellation"] = _plain(constellation)
@@ -165,16 +165,15 @@ def cmd_paths(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
     excluded = [x for x in filters.filters if x not in path_space]
     families = []
     for seq in ps.declared_sequences(graph):
-        res = ps.pointwise_limit(seq, ps.default_probe(graph, bound, seq))
-        ok, why = res.limit_is_filter()
+        res = ps.pointwise_limit(seq, bound)
         families.append(
             {
                 "family": seq.description,
                 "converges": res.outcome is ps.LimitOutcome.CONVERGES,
                 "complete": res.complete,
                 "limit": sorted(str(m) for m in res.limit) if res.limit is not None else None,
-                "limit_is_filter": ok,
-                "reason": why,
+                "limit_is_filter": res.reason is None,
+                "reason": res.reason,
             }
         )
     results = {

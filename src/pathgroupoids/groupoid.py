@@ -22,12 +22,11 @@ from .pspace import (
     bps_enumerate,
     compactness_probe,
     declared_sequences,
-    default_probe,
     in_ps,
     pointwise_limit,
     LimitOutcome,
-    is_filter,
     ps_filters,
+    upper_bound_in,
 )
 from .action import (
     act,
@@ -48,14 +47,13 @@ class SpanRejectedError(GroupoidError):
 class GroupoidElement:
     """A triple (x, q, y) with a re-verifiable certificate."""
 
-    __slots__ = ("x", "q", "y", "cert", "span", "_hash")
+    __slots__ = ("x", "q", "y", "cert", "_hash")
 
-    def __init__(self, x: Filter, q: tuple[int, ...], y: Filter, cert, span=None):
+    def __init__(self, x: Filter, q: tuple[int, ...], y: Filter, cert):
         self.x = x
         self.q = q
         self.y = y
         self.cert = cert  # (m, n) with q = m - n
-        self.span = span  # (mu, nu, z) with x = shift_on(mu, z), y = shift_on(nu, z)
         self._hash = hash((x, q, y))
 
     def __eq__(self, other) -> bool:
@@ -101,9 +99,7 @@ def make_element(mu: Morphism, nu: Morphism, z: Filter) -> GroupoidElement:
                 f"shift_on({lam}, {z}) = {shifted} leaves the path space; "
                 "right shifts need not preserve it"
             )
-    g = GroupoidElement(
-        x, mu.degree.minus(nu.degree), y, (mu.degree, nu.degree), span=(mu, nu, z)
-    )
+    g = GroupoidElement(x, mu.degree.minus(nu.degree), y, (mu.degree, nu.degree))
     verify_certificate(g)
     return g
 
@@ -146,7 +142,7 @@ def compose_elements(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
         raise GroupoidError(f"elements not composable: {g} then {h}")
     m1, n1 = g.cert
     m2, n2 = h.cert
-    l, _ = directed_witness(n1, m2, g.y)
+    l, _ = directed_witness(g.y, n1, m2)
     a, b = l.sub(n1), l.sub(m2)
     cert = (m1.add(a), n2.add(b))
     q = tuple(qa + qb for qa, qb in zip(g.q, h.q))
@@ -238,14 +234,7 @@ def paired_fa_witnesses(
     needed: list[Morphism] = []
     for flt, base, targets in ((g.x, wx, above_x), (g.y, wy, above_y)):
         for t in targets:
-            ext = next(
-                (
-                    k
-                    for k in sorted(flt.elements, key=Morphism.sort_key)
-                    if graph.prefix_leq(base, k) and graph.prefix_leq(t, k)
-                ),
-                None,
-            )
+            ext = upper_bound_in(flt, (base, t))
             if ext is None:
                 raise GroupoidError(f"{t} has no common extension with the witness in {flt}")
             needed.append(graph.tails(base, ext)[0])
@@ -277,14 +266,6 @@ def enclosing_basic(
 # -- boundary-path groupoid ---------------------------------------------------
 
 
-def bpg_membership(g: GroupoidElement, bound: Degree) -> tuple[bool, bool]:
-    """(member, exact): both sides lie in the enumerated boundary-path
-    space; the second component is that enumeration's exactness flag."""
-    bps = bps_enumerate(g.x.graph, bound)
-    member = g.x in set(bps.filters) and g.y in set(bps.filters)
-    return member, bps.exact
-
-
 def invariance_check(graph: KGraph, bound: Degree) -> dict:
     """BPS as an invariant unit-space subset: sources in BPS force ranges
     in BPS over all enumerated elements; closedness against the declared
@@ -305,14 +286,11 @@ def invariance_check(graph: KGraph, bound: Degree) -> dict:
     for seq in declared_sequences(graph):
         if not all(t in bps for t in seq.terms()):
             continue
-        res = pointwise_limit(seq, default_probe(graph, bound, seq))
+        res = pointwise_limit(seq, bound)
         if res.outcome is not LimitOutcome.CONVERGES or not res.complete:
             continue
-        ok, _ = is_filter(res.limit)
-        if ok:
-            lim = Filter(graph, res.limit.elements)
-            if in_ps(lim) and lim not in bps:
-                closed_bad.append(seq.description)
+        if res.reason is None and in_ps(res.limit) and res.limit not in bps:
+            closed_bad.append(seq.description)
     raw = [str(g) for g in bad[:5]] + closed_bad[:5]
     if not raw:
         verdict = "pass"

@@ -3,6 +3,14 @@
 Filters play the role of paths.  Everything here is computed on explicit
 finite filters: all catalog phenomena live on finite filters and
 N-indexed families of them.
+
+Limits are taken in one place.  :func:`pointwise_limit` decides the
+eventual membership of every morphism up to the bound and every element
+of the family's terms, runs :func:`is_filter` once on a convergent
+limit, and returns the limit as a :class:`Filter` when it is one and the
+reason when it is not.  The boundary-path space, the compactness probes
+and the closure checks of the action and the groupoid all read that
+result.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ class ExplicitSubset:
 
 
 class Filter(ExplicitSubset):
-    """An explicit finite filter; use :func:`make_filter` to validate."""
+    """An explicit finite filter; :func:`is_filter` validates one."""
 
     @property
     def range(self):
@@ -91,14 +99,6 @@ def is_filter(view: ExplicitSubset) -> tuple[bool, Optional[str]]:
     if len(set(degrees)) != len(degrees):
         return False, "degree map is not injective"
     return True, None
-
-
-def make_filter(graph: KGraph, elements: Iterable[Morphism]) -> Filter:
-    x = Filter(graph, elements)
-    ok, reason = is_filter(x)
-    if not ok:
-        raise SubsetError(f"not a filter: {reason}")
-    return x
 
 
 @per_graph
@@ -156,16 +156,6 @@ class Cylinder:
         exc = ",".join(str(m) for m in self.exclude)
         return f"Z({inc}\\{{{exc}}})"
 
-    def to_json(self) -> dict:
-        return {
-            "in": sorted(str(m) for m in self.include),
-            "out": sorted(str(m) for m in self.exclude),
-        }
-
-
-def cylinder(m: Morphism, exclude: Iterable[Morphism] = ()) -> Cylinder:
-    return Cylinder((m,), tuple(exclude))
-
 
 def cylinder_membership(view, cyl: Cylinder) -> bool:
     return all(view.contains(m) for m in cyl.include) and not any(
@@ -199,14 +189,11 @@ class LimitOutcome(enum.Enum):
 @dataclass
 class LimitResult:
     outcome: LimitOutcome
-    limit: Optional[ExplicitSubset]
+    limit: Optional[ExplicitSubset]  # a Filter when the limit is one
     complete: bool
     decisions: dict
-
-    def limit_is_filter(self) -> tuple[bool, Optional[str]]:
-        if self.limit is None:
-            return False, "no limit"
-        return is_filter(self.limit)
+    probe: list[Morphism]
+    reason: Optional[str]  # why there is no filter limit; None when there is
 
 
 def disjoint_limit(terms: Iterable[ExplicitSubset]) -> frozenset[Morphism]:
@@ -215,17 +202,22 @@ def disjoint_limit(terms: Iterable[ExplicitSubset]) -> frozenset[Morphism]:
     return frozenset.intersection(*(t.elements for t in terms))
 
 
-def pointwise_limit(seq: DescribedSequence, probe: Iterable[Morphism]) -> LimitResult:
-    """Decide eventual membership per probe element under the tail rule.
+def pointwise_limit(seq: DescribedSequence, bound: Degree) -> LimitResult:
+    """Decide eventual membership under the tail rule for every morphism
+    of degree <= bound and everything named by the sequence: enough to
+    decide filterhood of the limit at the bound.
 
     For a disjoint principal family the terms share exactly their common
     part, so the limit is the intersection of the materialised terms and
     the computation is complete.  For an increasing family the limit is
     the union, reported as its bounded fragment with complete=False.
     """
-    probe = sorted(set(probe), key=Morphism.sort_key)
     fam = seq.family
     terms = seq.terms()
+    probe = set(seq.graph.enumerate_morphisms(bound).morphisms)
+    for t in terms:
+        probe.update(t.elements)
+    probe = sorted(probe, key=Morphism.sort_key)
     n_terms = len(terms)
     decisions: dict[str, str] = {}
     divergent = False
@@ -259,19 +251,12 @@ def pointwise_limit(seq: DescribedSequence, probe: Iterable[Morphism]) -> LimitR
         raise SubsetError(f"unknown family flavor {fam.flavor!r}")
 
     if divergent:
-        return LimitResult(LimitOutcome.DIVERGENT, None, complete, decisions)
-    return LimitResult(
-        LimitOutcome.CONVERGES, ExplicitSubset(seq.graph, limit_elems), complete, decisions
-    )
-
-
-def default_probe(graph: KGraph, bound: Degree, seq: DescribedSequence) -> list[Morphism]:
-    """All morphisms of degree <= bound plus everything named by the
-    sequence; enough to decide filterhood of the limit at the bound."""
-    probe = set(graph.enumerate_morphisms(bound).morphisms)
-    for t in seq.terms():
-        probe.update(t.elements)
-    return sorted(probe, key=Morphism.sort_key)
+        return LimitResult(LimitOutcome.DIVERGENT, None, complete, decisions, probe, "no limit")
+    limit = ExplicitSubset(seq.graph, limit_elems)
+    ok, reason = is_filter(limit)
+    if ok:
+        limit = Filter(seq.graph, limit_elems)
+    return LimitResult(LimitOutcome.CONVERGES, limit, complete, decisions, probe, reason)
 
 
 # -- path space and boundary-path space ------------------------------------
@@ -330,17 +315,14 @@ def bps_enumerate(graph: KGraph, bound: Degree) -> FilterList:
         if not all(in_ps(t) for t in seq.terms()):
             # sequence does not live in PS; its limit is irrelevant here
             continue
-        res = pointwise_limit(seq, default_probe(graph, bound, seq))
+        res = pointwise_limit(seq, bound)
         if res.outcome is not LimitOutcome.CONVERGES:
             continue
         if not res.complete:
             exact = False
             continue
-        ok, _ = is_filter(res.limit)
-        if ok:
-            x = Filter(graph, res.limit.elements)
-            if in_ps(x):
-                out.add(x)
+        if res.reason is None and in_ps(res.limit):
+            out.add(res.limit)
     return FilterList(sorted(out, key=Filter.sort_key), exact)
 
 
@@ -382,14 +364,13 @@ def compactness_probe(
         for t in seq.terms():
             if not t.contains(lam):
                 raise SubsetError(f"escape family {fam.description} leaves Z({lam})")
-        res = pointwise_limit(seq, default_probe(graph, bound, seq))
-        ok, why = res.limit_is_filter()
-        if res.outcome is LimitOutcome.CONVERGES and not ok:
+        res = pointwise_limit(seq, bound)
+        if res.outcome is LimitOutcome.CONVERGES and res.reason is not None:
             return CompactEvidence(
                 "NonCompact",
                 family=seq.description,
                 limit=[str(m) for m in res.limit],
-                reason=f"limit is not a filter: {why}",
+                reason=f"limit is not a filter: {res.reason}",
             )
         return CompactEvidence("UnknownAtBound", reason="escape family did not certify")
     if verdict is Verdict.TRUE:
@@ -403,13 +384,12 @@ def compactness_probe(
                         f"supplied family {seq.description} has terms outside Z({lam})"
                     )
                 continue
-            res = pointwise_limit(seq, default_probe(graph, bound, seq))
-            ok, why = res.limit_is_filter()
-            if res.outcome is not LimitOutcome.CONVERGES or not ok or not res.limit.contains(lam):
+            res = pointwise_limit(seq, bound)
+            if res.reason is not None or not res.limit.contains(lam):
                 return CompactEvidence(
                     "UnknownAtBound",
                     family=seq.description,
-                    reason=f"family in Z({lam}) has no filter limit in Z({lam}): {why}",
+                    reason=f"family in Z({lam}) has no filter limit in Z({lam}): {res.reason}",
                 )
             used.append(seq.description)
             limits.append(str(res.limit))
@@ -465,7 +445,7 @@ def check_basis_property(graph: KGraph, bound: Degree, seed: int = 0) -> dict:
                 if not all(x.contains(m) for m in K1) or any(x.contains(m) for m in K2):
                     continue
                 checked += 1
-                mu = _upper_bound_in(x, K1)
+                mu = upper_bound_in(x, K1)
                 if mu is None:
                     bad.append((K1, K2, x, "no directed upper bound"))
                     continue
@@ -479,9 +459,10 @@ def check_basis_property(graph: KGraph, bound: Degree, seed: int = 0) -> dict:
     return {"ok": not bad, "checked": checked, "counterexamples": [str(b[:3]) for b in bad[:3]]}
 
 
-def _upper_bound_in(x: Filter, K1) -> Optional[Morphism]:
+def upper_bound_in(x: Filter, K) -> Optional[Morphism]:
+    """The first element of x, in sort order, above every element of K."""
     for mu in sorted(x.elements, key=Morphism.sort_key):
-        if all(x.graph.prefix_leq(q, mu) for q in K1):
+        if all(x.graph.prefix_leq(q, mu) for q in K):
             return mu
     return None
 
@@ -504,13 +485,6 @@ def check_ps_open(graph: KGraph, bound: Degree) -> dict:
     return {"ok": not bad, "ps_size": len(ps), "counterexamples": [str(b) for b in bad[:3]]}
 
 
-def check_filters_equal_ps(graph: KGraph, bound: Degree) -> dict:
-    """In the finitely aligned case every filter is a path."""
-    all_f = enumerate_filters(graph, bound).filters
-    bad = [x for x in all_f if not in_ps(x)]
-    return {"ok": not bad, "filters": len(all_f), "counterexamples": [str(x) for x in bad[:3]]}
-
-
 def check_convergence_decisions(graph: KGraph, bound: Degree) -> dict:
     """Limit decisions match raw eventual membership on every declared
     family: in iff eventually inside, out iff eventually outside.
@@ -521,14 +495,13 @@ def check_convergence_decisions(graph: KGraph, bound: Degree) -> dict:
     """
     bad, checked, skipped = [], 0, 0
     for seq in declared_sequences(graph):
-        probe = default_probe(graph, bound, seq)
-        res = pointwise_limit(seq, probe)
+        res = pointwise_limit(seq, bound)
         if res.outcome is not LimitOutcome.CONVERGES:
             bad.append((seq.description, "did not converge"))
             continue
         terms = seq.terms()
         n = len(terms)
-        for m in probe:
+        for m in res.probe:
             support = [i for i, t in enumerate(terms) if t.contains(m)]
             decision = res.decisions.get(str(m), "out")
             is_suffix = bool(support) and support == list(range(support[0], n))

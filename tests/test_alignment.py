@@ -52,9 +52,12 @@ def test_mce_examples(tg):
 
 
 def test_fa_at_pair_examples(tg):
-    assert al.fa_at_pair(tg.morphism("lambda"), tg.morphism("mu")).value is Verdict.FALSE
-    v = al.fa_at_pair(tg.morphism("beta[1]"), tg.morphism("beta[2]"))
-    assert v.value is Verdict.TRUE and v.record["mce_size"] == 0
+    """A pair is finitely aligned when its mce is exactly finite, and not
+    when the annotations declare it infinite."""
+    res = al.mce(tg.morphism("lambda"), tg.morphism("mu"))
+    assert res.kind is MceKind.DECLARED_INFINITE and res.family
+    res = al.mce(tg.morphism("beta[1]"), tg.morphism("beta[2]"))
+    assert res.kind is MceKind.EXACT_FINITE and res.elements == ()
 
 
 def test_fa_at_examples(tg):
@@ -100,7 +103,7 @@ def test_user_presentation_gets_honest_unknowns():
     pairs = len(g.right_ideal(lam, B22)) * len(same_range)
     assert v.value is Verdict.UNKNOWN_AT_BOUND and v.witness is None
     assert v.record == {"mode": "search", "pairs": pairs}
-    assert al.fa_at_pair(lam, g.morphism("mu")).value is Verdict.UNKNOWN_AT_BOUND
+    assert al.mce(lam, g.morphism("mu")).kind is MceKind.TRUNCATED_UNKNOWN
 
 
 def test_finite_graphs_are_true_everywhere():
@@ -155,10 +158,10 @@ def nested_fa_at(lam, bound):
     pairs = unknown = 0
     for mu in graph.right_ideal(lam, bound):
         for nu in candidates:
-            v = al.fa_at_pair(mu, nu).value
+            kind = al.mce(mu, nu).kind
             pairs += 1
-            assert v is not Verdict.FALSE, (str(lam), str(mu), str(nu))
-            unknown += v is Verdict.UNKNOWN_AT_BOUND
+            assert kind is not MceKind.DECLARED_INFINITE, (str(lam), str(mu), str(nu))
+            unknown += kind is MceKind.TRUNCATED_UNKNOWN
     if graph.is_finite:
         assert unknown == 0
         return al.FaVerdict(Verdict.TRUE, record={"mode": "exhaustive", "pairs": pairs})
@@ -268,10 +271,10 @@ def test_fa_structure_yee_and_finite():
 
 
 def test_constellation(tg):
-    assert al.validate_constellation(tg, B22)["ok"]
-    rep = al.validate_constellation(lambda_tg_infinity(2, 2), B22)
+    assert al.constellation(al.check_fa_structure(tg, B22))["ok"]
+    rep = al.constellation(al.check_fa_structure(lambda_tg_infinity(2, 2), B22))
     assert rep["ok"] and rep["vacuous"]
-    assert al.validate_constellation(grid(2), B22)["ok"]
+    assert al.constellation(al.check_fa_structure(grid(2), B22))["ok"]
 
 
 def test_relative_category_of_paths(tg):

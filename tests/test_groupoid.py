@@ -15,7 +15,7 @@ def tg():
 
 @pytest.fixture(scope="module")
 def u_filter(tg):
-    return ps.make_filter(tg, [tg.unit(tg.vertex("u"))])
+    return ps.principal(tg.unit(tg.vertex("u")))
 
 
 def test_make_element_example(tg, u_filter):
@@ -31,7 +31,7 @@ def test_make_element_unit(tg, u_filter):
 
 
 def test_make_element_rejects_ps_escape(tg):
-    w = ps.make_filter(tg, [tg.unit(tg.vertex("w"))])
+    w = ps.principal(tg.unit(tg.vertex("w")))
     lam = tg.morphism("lambda")
     with pytest.raises(gp.SpanRejectedError, match="leaves the path space"):
         gp.make_element(lam, lam, w)
@@ -90,16 +90,17 @@ def test_basic_set_parameters_need_fa(tg):
 
 
 def test_bpg_membership(tg, u_filter):
-    unit_u = gp.unit_element(u_filter)
-    member, exact = gp.bpg_membership(unit_u, B22)
-    assert member and not exact
+    """A unit (x, 0, x) lies in the boundary-path groupoid iff x lies in
+    the enumerated boundary-path space."""
+    bps = ps.bps_enumerate(tg, B22)
+    assert not bps.exact
+    boundary = set(bps.filters)
+    assert u_filter in boundary
     # principal filters of the square composites sit in the boundary too
-    pf = ps.principal(tg.morphism("mu.beta[1]"))
-    assert gp.bpg_membership(gp.unit_element(pf), B22)[0]
+    assert ps.principal(tg.morphism("mu.beta[1]")) in boundary
     # maximality makes the one-edge filters boundary points as well: their
     # sole extensions are themselves, so the inclusion scan keeps them
-    down_beta = ps.principal(tg.morphism("beta[1]"))
-    assert gp.bpg_membership(gp.unit_element(down_beta), B22)[0]
+    assert ps.principal(tg.morphism("beta[1]")) in boundary
 
 
 def test_enumerate_pg_repeats_equal():

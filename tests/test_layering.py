@@ -95,7 +95,74 @@ def test_per_graph_keys_start_with_a_graph_object():
         if kind not in MEMO_KEY_TYPES:
             bad.append(f"{filename}:{func.lineno} {func.name}({first.arg}: {kind})")
     assert {
-        "shift_off", "act_flagged", "_directed_witness", "unit", "compose", "fiber",
+        "shift_off", "act_flagged", "directed_witness", "unit", "compose", "fiber",
         "prefixes", "_factorization", "spans", "_fa_row",
     } <= set(found)
     assert not bad, f"per_graph functions keyed by a non-graph object: {bad}"
+
+
+# Public names that only the tests call: the property suites no CLI
+# command runs yet, and the finite fixtures of the brute-force oracles.
+TEST_ONLY = {
+    "action.check_roundtrips",
+    "action.check_cocycle",
+    "action.check_ultrafilter_preservation",
+    "action.check_ps_preservation",
+    "action.check_action_axioms",
+    "action.check_codomain_open",
+    "action.check_local_homeo_witness",
+    "action.check_shift_continuity",
+    "spielberg.check_e_hat_equals_cylinders",
+    "spielberg.check_topology_coincides",
+    "catalog.finite_examples",
+}
+
+
+def _trees():
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+
+
+def _referenced(name: str, trees: dict, skip: ast.AST | None = None) -> bool:
+    """Is `name` read somewhere in the package, outside `skip` and outside
+    the re-exports of ``__init__``?"""
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Name) and node.id == name:
+                return True
+            if isinstance(node, ast.Attribute) and node.attr == name:
+                return True
+    return False
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """Each public top-level function and class is used in the package
+    besides its own definition, unless it is a test-only suite or
+    fixture; dead code fails here instead of lingering."""
+    trees = _trees()
+    public = {
+        f"{module}.{node.name}": node
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert TEST_ONLY <= set(public), f"stale TEST_ONLY entries: {TEST_ONLY - set(public)}"
+    dead = sorted(
+        qualified
+        for qualified, node in public.items()
+        if qualified not in TEST_ONLY and not _referenced(node.name, trees, skip=node)
+    )
+    assert not dead, f"public names without a caller in the package: {dead}"
+
+
+def test_every_exported_name_has_a_caller_in_the_package():
+    trees = _trees()
+    dead = [name for name in pathgroupoids.__all__ if not _referenced(name, trees)]
+    assert not dead, f"__all__ names without a caller in the package: {dead}"

@@ -139,16 +139,11 @@ def test_grid_ultrafilters_are_the_corner_sourced_filters():
 # -- cylinders -----------------------------------------------------------
 
 
-def test_cylinder_serialisation(tg):
-    cyl = ps.Cylinder((tg.morphism("lambda"),), (tg.morphism("mu"), tg.unit(tg.vertex("t"))))
-    assert cyl.to_json() == {"in": ["lambda"], "out": ["mu", "t"]}
-
-
 def test_cylinder_membership(tg):
     pf = ps.principal(tg.morphism("mu.beta[1]"))
-    z_lambda = ps.cylinder(tg.morphism("lambda"))
+    z_lambda = ps.Cylinder((tg.morphism("lambda"),))
     assert ps.cylinder_membership(pf, z_lambda)
-    w = ps.make_filter(tg, [tg.unit(tg.vertex("w"))])
+    w = ps.principal(tg.unit(tg.vertex("w")))
     avoid_w = ps.Cylinder((), (tg.unit(tg.vertex("w")),))
     assert not ps.cylinder_membership(w, avoid_w)
     whole = ps.Cylinder((), ())
@@ -166,28 +161,32 @@ def _family(graph, description):
 
 def test_pointwise_limit_of_alpha_family(tg3):
     seq = ps.DescribedSequence(tg3, _family(tg3, "alpha[n]"))
-    res = ps.pointwise_limit(seq, ps.default_probe(tg3, B22, seq))
+    res = ps.pointwise_limit(seq, B22)
     assert res.outcome is ps.LimitOutcome.CONVERGES and res.complete
+    assert isinstance(res.limit, ps.Filter) and res.reason is None
     assert {str(m) for m in res.limit.elements} == {"w"}
+    # the probe: every morphism up to the bound and every element of a term
+    named = {m for t in seq.terms() for m in t.elements}
+    assert set(res.probe) == set(tg3.enumerate_morphisms(B22).morphisms) | named
     assert res.decisions["alpha[1]"] == "out"
 
 
 def test_pointwise_limit_of_square_family(tg3):
     seq = ps.DescribedSequence(tg3, _family(tg3, "lambda.alpha[n]"))
-    res = ps.pointwise_limit(seq, ps.default_probe(tg3, B22, seq))
+    res = ps.pointwise_limit(seq, B22)
     assert {str(m) for m in res.limit.elements} == {"v", "lambda", "mu"}
-    ok, why = res.limit_is_filter()
-    assert not ok and "directed" in why
+    assert not isinstance(res.limit, ps.Filter)
+    assert res.reason == ps.is_filter(res.limit)[1] and "directed" in res.reason
 
 
 def test_pointwise_limit_increasing_family():
     g = cycle(3)
     fam = g.annotations.filter_families[0]
     seq = ps.DescribedSequence(g, fam)
-    res = ps.pointwise_limit(seq, ps.default_probe(g, Degree((3,)), seq))
+    res = ps.pointwise_limit(seq, Degree((3,)))
     assert res.outcome is ps.LimitOutcome.CONVERGES
     assert not res.complete  # the union keeps growing past the bound
-    assert ps.is_filter(res.limit)[0]
+    assert ps.is_filter(res.limit)[0] and res.reason is None
 
 
 def test_pointwise_limit_flags_oscillation(tg3):
@@ -199,8 +198,9 @@ def test_pointwise_limit_flags_oscillation(tg3):
         lambda n: tg3.morphism(f"mu.beta[{n}]" if n % 2 else "mu.beta[1]"),
     )
     seq = ps.DescribedSequence(tg3, fam)
-    res = ps.pointwise_limit(seq, ps.default_probe(tg3, B22, seq))
+    res = ps.pointwise_limit(seq, B22)
     assert res.outcome is ps.LimitOutcome.DIVERGENT
+    assert res.limit is None and res.reason == "no limit"
     assert "oscillating" in res.decisions.values()
 
 
@@ -213,7 +213,7 @@ def test_convergence_decisions_match_raw_membership(tg3):
 
 
 def test_ps_membership_examples(tg):
-    w = ps.make_filter(tg, [tg.unit(tg.vertex("w"))])
+    w = ps.principal(tg.unit(tg.vertex("w")))
     assert ps.ps_membership(w)[0] is Verdict.TRUE
     down_lambda = ps.principal(tg.morphism("lambda"))
     assert ps.ps_membership(down_lambda)[0] is Verdict.FALSE
@@ -236,7 +236,7 @@ def test_bps_tg_is_ultrafilters_plus_vertex_limits(tg3):
     expected = {x.elements for x in ultra}
     for name, limit in (("beta[n]", "t"), ("alpha[n]", "w")):
         seq = ps.DescribedSequence(tg3, _family(tg3, name))
-        res = ps.pointwise_limit(seq, ps.default_probe(tg3, B22, seq))
+        res = ps.pointwise_limit(seq, B22)
         assert ps.is_filter(res.limit)[0]
         expected.add(res.limit.elements)
         assert {str(m) for m in res.limit.elements} == {limit}
@@ -259,7 +259,7 @@ def test_bps_finite_graphs_are_the_ultrafilters():
 def test_ps_equals_filters_on_finite_graphs():
     for g in finite_examples():
         bound = Degree((2, 2)) if g.rank == 2 else Degree((3,))
-        assert ps.check_filters_equal_ps(g, bound)["ok"]
+        assert ps.ps_filters(g, bound).filters == ps.enumerate_filters(g, bound).filters
 
 
 # -- compactness probes -------------------------------------------------------
