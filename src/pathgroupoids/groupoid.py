@@ -85,7 +85,6 @@ def unit_element(x: Filter) -> GroupoidElement:
 def make_element(mu: Morphism, nu: Morphism, z: Filter) -> GroupoidElement:
     """Build the element with span (mu, nu, z); rejects spans whose
     shifted filters leave the path space."""
-    graph = z.graph
     if mu.source != nu.source or mu.source != z.range:
         raise GroupoidError(
             f"span mismatch: s({mu}) = {mu.source}, s({nu}) = {nu.source}, r(z) = {z.range}"
