@@ -8,7 +8,9 @@ deliberate report change regenerates it, from the root of a checkout:
 
 and names the changed keys in CHANGES.md.  The matrix holds the fast
 runs only; ``paths`` on grid, yee and tg-infinity take over a second
-each and are left out.
+each and are left out.  Besides the catalog graphs and two malformed
+documents, it runs ``groupoid --spielberg`` on two generated
+presentations (``test_oracles.gen_document``).
 """
 
 from __future__ import annotations
@@ -26,14 +28,20 @@ import pytest
 
 from pathgroupoids import cli
 from pathgroupoids.catalog import catalog_names
+from test_oracles import gen_document
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
-# Malformed documents, written to the working directory of the run so
-# that the report names them the same way on every machine.
+# Documents are written to the working directory of the run so that the
+# report names them the same way on every machine.
 BAD_DOCS = {
     "bad_family_index.kg": "vertices: a b\nedges:\n  e[n] 1 a -> b[n]\n",
     "bad_vertex_index.kg": "vertices: a[x] b\n",
+}
+# Generated presentations: seeded twisted products of two lines.
+GEN_DOCS = {
+    f"gen_{'_'.join(map(str, size))}_seed{seed}.kg": gen_document(size, seed)
+    for size, seed in (((2, 2, 2, 1), 7), ((1, 2, 1, 2), 11))
 }
 
 
@@ -55,14 +63,15 @@ def _matrix() -> list[list[str]]:
         out.append([*argv, "--format", "json"])
         if i % 3 == 0:
             out.append([*argv, "--format", "text"])
+    out.extend(["groupoid", "--graph", name, "--spielberg", "--format", "json"] for name in GEN_DOCS)
     return out
 
 
 MATRIX = {" ".join(argv): argv for argv in _matrix()}
 
 
-def write_bad_docs(directory: Path) -> None:
-    for name, text in BAD_DOCS.items():
+def write_docs(directory: Path) -> None:
+    for name, text in {**BAD_DOCS, **GEN_DOCS}.items():
         (directory / name).write_text(text, encoding="utf-8")
 
 
@@ -82,7 +91,7 @@ def golden() -> dict:
 @pytest.fixture(scope="module")
 def docs_dir(tmp_path_factory) -> Path:
     directory = tmp_path_factory.mktemp("golden")
-    write_bad_docs(directory)
+    write_docs(directory)
     return directory
 
 
@@ -99,7 +108,7 @@ def test_report_matches_golden(key, golden, docs_dir, monkeypatch):
 def main() -> int:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
-        write_bad_docs(Path(directory))
+        write_docs(Path(directory))
         os.chdir(directory)
         try:
             table = {key: run(argv) for key, argv in MATRIX.items()}

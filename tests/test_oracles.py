@@ -29,13 +29,19 @@ from test_kgraph import word_graph
 B22 = Degree((2, 2))
 
 
-def gen_product(size=(2, 2, 2, 1), seed=7):
-    """A seeded twisted product from the benchmark's generator."""
+def gen_document(size=(2, 2, 2, 1), seed=7) -> str:
+    """The presentation document of a seeded twisted product from the
+    benchmark's generator."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return load_presentation(gen.twisted_product(*size, random.Random(seed)))
+    return gen.twisted_product(*size, random.Random(seed))
+
+
+def gen_product(size=(2, 2, 2, 1), seed=7):
+    """A seeded twisted product from the benchmark's generator."""
+    return load_presentation(gen_document(size, seed))
 
 
 def brute_ideal_intersection(graph, mu, nu):
