@@ -209,6 +209,8 @@ def cmd_paths(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
 
 
 def cmd_groupoid(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
+    if args.spielberg:
+        sp.require_fa_certificate(graph)  # before any suite runs
     violations = 0
     elements = gp.enumerate_pg(graph, bound)
     axioms = gp.axiom_suite(graph, bound)

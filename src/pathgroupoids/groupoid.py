@@ -6,6 +6,13 @@ pair (m, n) of degrees with q = m - n, x in D_m, y in D_n and
 T(x, m) = T(y, n).  Certificates re-verify on demand, and every element
 round-trips through the span form (mu, nu, z) with x = sigma^mu z and
 y = sigma^nu z.  Element equality ignores certificates.
+
+A (graph, bound) fragment is enumerated and composed once.  `spans`
+lists its spans, `span_elements` builds the element of each,
+`enumerate_pg` numbers the distinct elements by position, and
+`composition_table` maps each composable pair of those ids to the id of
+its composite, composing every pair once through `compose_elements`.
+`axiom_suite` and `spielberg.iso_check` both read the table.
 """
 
 from __future__ import annotations
@@ -170,13 +177,39 @@ def spans(graph: KGraph, bound: Degree) -> list[tuple[Morphism, Morphism, Filter
 
 
 @per_graph
+def span_elements(graph: KGraph, bound: Degree) -> list[GroupoidElement]:
+    """The element of each span of `spans`, in span order; equal elements
+    are one shared object."""
+    seen: dict[GroupoidElement, GroupoidElement] = {}
+    return [seen.setdefault(g, g) for g in (make_element(*span) for span in spans(graph, bound))]
+
+
+@per_graph
 def enumerate_pg(graph: KGraph, bound: Degree) -> list[GroupoidElement]:
-    """The elements of every span, deduped on (x, q, y)."""
-    out: dict[GroupoidElement, GroupoidElement] = {}
-    for span in spans(graph, bound):
-        g = make_element(*span)
-        out.setdefault(g, g)
-    return sorted(out.values(), key=GroupoidElement.sort_key)
+    """The elements of every span, deduped on (x, q, y), in sort order.
+    An element's position is its id in `composition_table`."""
+    return sorted(dict.fromkeys(span_elements(graph, bound)), key=GroupoidElement.sort_key)
+
+
+@per_graph
+def composition_table(graph: KGraph, bound: Degree) -> dict[tuple[int, int], int]:
+    """(i, j) -> the id of g_i g_j for every composable pair of
+    `enumerate_pg` ids, each pair composed once by `compose_elements`,
+    which re-verifies the certificate.  A pair whose composite equals no
+    enumerated element (a fragment not closed under composition) is left
+    out, and its readers compose it themselves."""
+    elements = enumerate_pg(graph, bound)
+    ids = {g: i for i, g in enumerate(elements)}
+    by_x: dict[Filter, list[int]] = {}
+    for i, g in enumerate(elements):
+        by_x.setdefault(g.x, []).append(i)
+    table: dict[tuple[int, int], int] = {}
+    for i, g in enumerate(elements):
+        for j in by_x.get(g.y, ()):
+            c = ids.get(compose_elements(g, elements[j]))
+            if c is not None:
+                table[i, j] = c
+    return table
 
 
 # -- basic sets --------------------------------------------------------------
@@ -316,18 +349,38 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
     composability, associativity, inverse and unit laws, plus span
     round-trips and certificate re-verification.
 
-    Associativity runs over a composition table of integer ids.  The
-    element at position i of `enumerate_pg` has id i; a composite that
-    equals no enumerated element (a fragment not closed under
-    composition) gets the next free id.  Each composable pair of ids is
-    composed once by `compose_elements`, which re-verifies the
-    certificate, and each triple (g, h, k) then compares the ids of
-    (gh)k and g(hk).  Triples run in enumeration order, so
-    counterexamples come out in that order."""
+    Every law is read off integer ids.  The element at position i of
+    `enumerate_pg` has id i, and `composition_table` gives the composite
+    of each composable pair of ids; a composite that equals no enumerated
+    element (a fragment not closed under composition) gets the next free
+    id, local to this call, and a pair the table lacks is composed here by
+    `compose_elements`.  The inverse and unit laws look up the ids of
+    invert(g) and of g's units; associativity compares the ids of (gh)k
+    and g(hk) for each triple (g, h, k).  Triples run in enumeration
+    order, so counterexamples come out in that order."""
     elements = enumerate_pg(graph, bound)
+    table = composition_table(graph, bound)
+    ids = {g: i for i, g in enumerate(elements)}
+    objs = list(elements)  # a copy: the memoised enumeration must not grow
+    local: dict[tuple[int, int], int] = {}  # composites the table lacks
+
+    def id_of(g: GroupoidElement) -> int:
+        i = ids.setdefault(g, len(objs))
+        if i == len(objs):
+            objs.append(g)
+        return i
+
+    def comp(i: int, j: int) -> int:
+        c = table.get((i, j))
+        if c is None:
+            c = local.get((i, j))
+            if c is None:
+                c = local[i, j] = id_of(compose_elements(objs[i], objs[j]))
+        return c
+
     bad: list = []
     coherence = 0
-    for g in elements:
+    for i, g in enumerate(elements):
         verify_certificate(g)
         mu, nu, z = span_of(g)
         if make_element(mu, nu, z) != g:
@@ -336,12 +389,13 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
         verify_certificate(gi)
         if invert(gi) != g:
             bad.append(("involution", str(g)))
-        if compose_elements(g, gi) != unit_element(g.x):
-            bad.append(("g.g^-1", str(g)))
-        if compose_elements(gi, g) != unit_element(g.y):
-            bad.append(("g^-1.g", str(g)))
         r_unit, s_unit = element_structure(g)
-        if compose_elements(r_unit, g) != g or compose_elements(g, s_unit) != g:
+        r, s, ii = id_of(r_unit), id_of(s_unit), id_of(gi)
+        if comp(i, ii) != r:
+            bad.append(("g.g^-1", str(g)))
+        if comp(ii, i) != s:
+            bad.append(("g^-1.g", str(g)))
+        if comp(r, i) != i or comp(i, s) != i:
             bad.append(("unit law", str(g)))
         # coherence (g.y == h.x iff s(g) == r(h)) holds for every pair once
         # each element's range and source units sit at g.x and g.y
@@ -350,20 +404,6 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
 
     if coherence:
         bad.append(("coherence", coherence))
-
-    ids = {g: i for i, g in enumerate(elements)}
-    objs = list(elements)  # a copy: the memoised enumeration must not grow
-    table: dict[tuple[int, int], int] = {}
-
-    def comp(i: int, j: int) -> int:
-        c = table.get((i, j))
-        if c is None:
-            gh = compose_elements(objs[i], objs[j])
-            c = ids.setdefault(gh, len(objs))
-            if c == len(objs):
-                objs.append(gh)
-            table[i, j] = c
-        return c
 
     by_x: dict[Filter, list[int]] = {}
     for i, g in enumerate(elements):

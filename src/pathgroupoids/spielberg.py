@@ -34,9 +34,11 @@ from .groupoid import (
     basic_set_membership,
     BasicGroupoidSet,
     compose_elements,
+    composition_table,
     enumerate_pg,
     invert,
     make_element,
+    span_elements,
     spans,
 )
 
@@ -251,32 +253,43 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     elements, compatible with composition and inversion, and carrying
     basic sets onto basic sets.
 
-    Composition is compared entrywise: the triple side composes by
-    witness search, the element side by certificate arithmetic.
+    The triples are the path-groupoid spans, so phi of the k-th triple is
+    the k-th of `groupoid.span_elements`, which `enumerate_pg` has built.
+    Composition is compared entrywise over composable class pairs: the
+    triple side composes by witness search and maps through phi; the
+    element side reads the composite from `groupoid.composition_table`,
+    shared with `axiom_suite`, and composes by certificate arithmetic
+    only where the table has no entry.
     """
     require_fa_certificate(graph)
     triples = enumerate_triples(graph, bound)
-    classes: dict[tuple, list[SpielbergTriple]] = {}
-    for t in triples:
-        classes.setdefault(canonical_triple(t).sort_key(), []).append(t)
+    built = span_elements(graph, bound)
+    classes: dict[tuple, list[int]] = {}  # canonical key -> triple positions
+    canon: list[SpielbergTriple] = []  # canonical_triple of each class's first member
+    for k, t in enumerate(triples):
+        c = canonical_triple(t)
+        members = classes.setdefault(c.sort_key(), [])
+        if not members:
+            canon.append(c)
+        members.append(k)
 
     report: dict = {"triples": len(triples), "classes": len(classes)}
     bad: list = []
 
     # class structure re-verified by explicit witness search
-    for key, members in classes.items():
-        rep = members[0]
-        for t in members[1:]:
-            ok, _ = triple_equiv(rep, t)
+    for members in classes.values():
+        rep = triples[members[0]]
+        for k in members[1:]:
+            ok, _ = triple_equiv(rep, triples[k])
             if not ok:
-                bad.append(("class glue", str(rep), str(t)))
+                bad.append(("class glue", str(rep), str(triples[k])))
 
     # well-defined and injective
     images: dict[tuple, GroupoidElement] = {}
     for key, members in classes.items():
-        imgs = {phi(t) for t in members}
+        imgs = {built[k] for k in members}
         if len(imgs) != 1:
-            bad.append(("not well-defined", str(members[0])))
+            bad.append(("not well-defined", str(triples[members[0]])))
         images[key] = imgs.pop()
     if len(set(images.values())) != len(images):
         bad.append(("not injective",))
@@ -290,8 +303,8 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     report["bijection_count_match"] = len(classes) == len(elements)
 
     # composition and inversion, entrywise over composable class pairs
-    reps = [members[0] for members in classes.values()]
-    canon = [canonical_triple(t) for t in reps]
+    ids = {g: i for i, g in enumerate(elements)}
+    table = composition_table(graph, bound)
     phi_of = {t: phi(t) for t in canon}
     middles: dict[Filter, list[SpielbergTriple]] = {}
     for t in canon:
@@ -303,7 +316,9 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     for t1, t2 in pairs:
         comp_checked += 1
         lhs = phi(sp_compose(t1, t2))
-        rhs = compose_elements(phi_of[t1], phi_of[t2])
+        g1, g2 = phi_of[t1], phi_of[t2]
+        c = table.get((ids.get(g1), ids.get(g2)))
+        rhs = compose_elements(g1, g2) if c is None else elements[c]
         if lhs != rhs:
             bad.append(("composition", str(t1), str(t2)))
     for t in canon:
@@ -312,7 +327,7 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     report["composition_pairs"] = comp_checked
 
     # basic sets map to basic sets: [a, b, Z(mu\K)] onto Z(a.mu\a.K; b.mu\b.K)
-    basic_bad = _check_basic_set_image(graph, bound, triples, classes)
+    basic_bad = _check_basic_set_image(graph, bound, triples)
     bad.extend(basic_bad)
 
     report["ok"] = not bad
@@ -320,7 +335,7 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     return report
 
 
-def _check_basic_set_image(graph, bound, triples, classes) -> list:
+def _check_basic_set_image(graph, bound, triples) -> list:
     bad = []
     morphs = graph.enumerate_morphisms(bound).morphisms
     legs = sorted({(t.alpha, t.beta) for t in triples}, key=lambda p: (str(p[0]), str(p[1])))

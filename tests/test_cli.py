@@ -191,6 +191,24 @@ def test_groupoid_spielberg_gate(capsys):
     assert "unsupported domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["tg", "yee", "tg-infinity"])
+def test_groupoid_spielberg_gate_runs_no_suite(name, monkeypatch, capsys):
+    """Without an FA certificate the gate fails before the groupoid is
+    enumerated: empty stdout, exit 2, one diagnostic line."""
+
+    def enumerate_pg(graph, bound):
+        raise AssertionError("enumerate_pg ran before the gate")
+
+    monkeypatch.setattr(groupoid, "enumerate_pg", enumerate_pg)
+    assert main(["groupoid", "--graph", name, "--spielberg"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"unsupported domain: {name} carries no FA(Lambda) = Lambda certificate; "
+        "Spielberg groupoid operations are not defined here\n"
+    )
+
+
 def test_groupoid_compare_relative(capsys):
     code = main(["groupoid", "--graph", "tg", "--compare-relative", "--format", "json"])
     assert code == 0

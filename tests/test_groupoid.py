@@ -145,12 +145,16 @@ def _non_unit_pair(elements):
     )
 
 
-def test_axiom_suite_reports_a_wrong_composite(monkeypatch, tg):
+def test_axiom_suite_reports_a_wrong_composite(monkeypatch):
     """One wrong cell of the composition table shows up as an
     associativity counterexample.  On finite filters q = d(x) - d(y), so a
     valid element with the composite's endpoints is the composite itself;
     the wrong cell keeps the endpoints, shifts q, and composes onward
-    without a certificate."""
+    without a certificate.  The table is memoised per graph, so the clean
+    run and the patched run each get a fresh graph, and the patched
+    `compose_elements` builds the second graph's table."""
+    clean = gp.axiom_suite(lambda_tg(2), B22)
+    tg = lambda_tg(2)
     elements = gp.enumerate_pg(tg, B22)
     real = gp.compose_elements
     a, b = _non_unit_pair(elements)
@@ -165,7 +169,6 @@ def test_axiom_suite_reports_a_wrong_composite(monkeypatch, tg):
             return gp.GroupoidElement(g.x, q, h.y, g.cert)
         return real(g, h)
 
-    clean = gp.axiom_suite(tg, B22)
     monkeypatch.setattr(gp, "compose_elements", compose)
     rep = gp.axiom_suite(tg, B22)
     assert not rep["ok"]
@@ -175,9 +178,12 @@ def test_axiom_suite_reports_a_wrong_composite(monkeypatch, tg):
         assert rep[key] == clean[key]
 
 
-def test_axiom_suite_composite_outside_the_enumeration(monkeypatch, tg):
+def test_axiom_suite_composite_outside_the_enumeration(monkeypatch):
     """A fragment not closed under composition: composites equal to the
-    dropped element get ids of their own, and the laws still hold."""
+    dropped element get ids of their own, and the laws still hold.  A
+    fresh graph, so that its composition table is built from the patched
+    enumeration."""
+    tg = lambda_tg(2)
     elements = gp.enumerate_pg(tg, B22)
     drop = gp.compose_elements(*_non_unit_pair(elements))
     kept = [e for e in elements if e != drop]

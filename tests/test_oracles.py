@@ -15,11 +15,13 @@ from pathgroupoids import pspace as ps
 from pathgroupoids import spielberg as sp
 from pathgroupoids.alignment import MceKind, MceResult
 from pathgroupoids.catalog import (
+    cycle,
     finite_examples,
     grid,
     lambda_tg,
     lambda_tg_infinity,
     lambda_yee,
+    line,
     squares_graph,
 )
 from pathgroupoids.degree import Degree
@@ -42,6 +44,41 @@ def gen_document(size=(2, 2, 2, 1), seed=7) -> str:
 def gen_product(size=(2, 2, 2, 1), seed=7):
     """A seeded twisted product from the benchmark's generator."""
     return load_presentation(gen_document(size, seed))
+
+
+TABLE_GRAPHS = {
+    "line": lambda: line(3),
+    "grid": grid,
+    "squares": squares_graph,
+    "cycle": lambda: cycle(3),
+    "product": gen_product,
+    "tg": lambda: lambda_tg(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
+def test_composition_table_matches_compose_elements(name):
+    """Every composable pair of enumerated elements has a cell, and the
+    cell is the composite that `compose_elements` gives for the pair.  On
+    graphs with an FA certificate, iso_check's composable class pairs are
+    exactly axiom_suite's composable element pairs."""
+    graph = TABLE_GRAPHS[name]()
+    bound = B22 if graph.rank == 2 else Degree((3,))
+    elements = gp.enumerate_pg(graph, bound)
+    table = gp.composition_table(graph, bound)
+    composable = [
+        (i, j) for i, g in enumerate(elements) for j, h in enumerate(elements) if g.y == h.x
+    ]
+    assert sorted(table) == composable
+    for (i, j), c in table.items():
+        assert elements[c] == gp.compose_elements(elements[i], elements[j]), (i, j)
+    pairs = gp.axiom_suite(graph, bound)["composable_pairs"]
+    assert pairs == len(composable)
+    if name == "tg":  # no FA certificate
+        with pytest.raises(sp.UnsupportedDomainError):
+            sp.iso_check(graph, bound)
+    else:
+        assert sp.iso_check(graph, bound)["composition_pairs"] == pairs
 
 
 def brute_ideal_intersection(graph, mu, nu):

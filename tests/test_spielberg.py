@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -197,6 +198,31 @@ def test_iso_check_grid(gr):
     assert rep["ok"], rep["failures"]
     assert rep["bijection_count_match"]
     assert rep["classes"] == rep["pg_elements"] == 196
+
+
+def test_suites_compose_each_pair_once(monkeypatch):
+    """axiom_suite and iso_check share one composition table: run in
+    either order on a fresh graph, they call compose_elements exactly once
+    per composable pair of enumerated elements, and report the same."""
+    real = gp.compose_elements
+    calls = collections.Counter()
+
+    def counted(g, h):
+        calls[g, h] += 1
+        return real(g, h)
+
+    monkeypatch.setattr(gp, "compose_elements", counted)
+    monkeypatch.setattr(sp, "compose_elements", counted)
+    reports = []
+    for suites in ((gp.axiom_suite, sp.iso_check), (sp.iso_check, gp.axiom_suite)):
+        calls.clear()
+        graph = grid(2)
+        reports.append({suite.__name__: suite(graph, B22) for suite in suites})
+        elements = gp.enumerate_pg(graph, B22)
+        composable = {(g, h) for g in elements for h in elements if g.y == h.x}
+        assert set(calls) == composable and set(calls.values()) == {1}
+    assert reports[0] == reports[1]
+    assert reports[0]["axiom_suite"]["ok"] and reports[0]["iso_check"]["ok"]
 
 
 def test_iso_check_squares():
