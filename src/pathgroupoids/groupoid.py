@@ -200,16 +200,22 @@ def composition_table(graph: KGraph, bound: Degree) -> dict[tuple[int, int], int
     out, and its readers compose it themselves."""
     elements = enumerate_pg(graph, bound)
     ids = {g: i for i, g in enumerate(elements)}
-    by_x: dict[Filter, list[int]] = {}
-    for i, g in enumerate(elements):
-        by_x.setdefault(g.x, []).append(i)
     table: dict[tuple[int, int], int] = {}
-    for i, g in enumerate(elements):
-        for j in by_x.get(g.y, ()):
-            c = ids.get(compose_elements(g, elements[j]))
+    for i, after in enumerate(_composable_after(elements)):
+        for j in after:
+            c = ids.get(compose_elements(elements[i], elements[j]))
             if c is not None:
                 table[i, j] = c
     return table
+
+
+def _composable_after(elements: list[GroupoidElement]) -> list[list[int]]:
+    """For each position i, the positions j with elements[i].y ==
+    elements[j].x, in increasing order."""
+    by_x: dict[Filter, list[int]] = {}
+    for j, h in enumerate(elements):
+        by_x.setdefault(h.x, []).append(j)
+    return [by_x.get(g.y, []) for g in elements]
 
 
 # -- basic sets --------------------------------------------------------------
@@ -405,10 +411,7 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
     if coherence:
         bad.append(("coherence", coherence))
 
-    by_x: dict[Filter, list[int]] = {}
-    for i, g in enumerate(elements):
-        by_x.setdefault(g.x, []).append(i)
-    after = [by_x.get(g.y, []) for g in elements]  # ids composable after i
+    after = _composable_after(elements)
     pairs = assoc_checked = 0
     for i, g in enumerate(elements):
         for j in after[i]:

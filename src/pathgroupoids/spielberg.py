@@ -242,8 +242,9 @@ def phi(t: SpielbergTriple) -> GroupoidElement:
 
 
 def enumerate_triples(graph: KGraph, bound: Degree) -> list[SpielbergTriple]:
-    """One triple per path-groupoid span, so the two sides of the
-    isomorphism see the same fragment."""
+    """One triple per path-groupoid span, in span order, so the two sides
+    of the isomorphism see the same fragment: phi of the k-th triple is
+    the k-th of `groupoid.span_elements`."""
     return [SpielbergTriple(alpha, beta, x) for alpha, beta, x in spans(graph, bound)]
 
 
