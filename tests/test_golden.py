@@ -63,7 +63,8 @@ def _matrix() -> list[list[str]]:
         out.append([*argv, "--format", "json"])
         if i % 3 == 0:
             out.append([*argv, "--format", "text"])
-    out.extend(["groupoid", "--graph", name, "--spielberg", "--format", "json"] for name in GEN_DOCS)
+    for name in GEN_DOCS:
+        out.append(["groupoid", "--graph", name, "--spielberg", "--format", "json"])
     return out
 
 
