@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .alignment import Verdict, is_fa
+from .alignment import Verdict
 from .degree import Degree
 from .kgraph import FactorizationError, KGraph, KGraphError, Morphism, per_graph
 from .pspace import (
@@ -22,6 +22,7 @@ from .pspace import (
     declared_sequences,
     disjoint_limit,
     enumerate_filters,
+    fa_extension,
     in_ps,
     pointwise_limit,
     ps_filters,
@@ -237,17 +238,6 @@ def check_action_axioms(graph: KGraph, bound: Degree) -> dict:
     return {"ok": not bad, "checked": checked, "counterexamples": bad[:5]}
 
 
-def _fa_chart(x: Filter, mu: Morphism) -> Optional[tuple[Morphism, Morphism]]:
-    """The least FA extension of mu inside x, in sort order, and its tail
-    after mu; None when x holds no FA extension of mu."""
-    graph = x.graph
-    exts = [k for k in x.elements if graph.prefix_leq(mu, k) and is_fa(k) is Verdict.TRUE]
-    if not exts:
-        return None
-    ext = min(exts, key=Morphism.sort_key)
-    return ext, graph.factorize(ext, mu.degree)[1]
-
-
 def check_codomain_open(graph: KGraph, bound: Degree) -> dict:
     """For each acted point T(x, m), a witness mu' in FA with
     Z(mu') inside C_m, verified over the enumerated path space."""
@@ -260,15 +250,15 @@ def check_codomain_open(graph: KGraph, bound: Degree) -> dict:
             if mu is None:
                 continue
             checked += 1
+            ext = fa_extension(x, mu)
+            if ext is None:
+                bad.append((str(x), str(m), "no FA extension of the witness"))
+                continue
             try:
-                chart = _fa_chart(x, mu)
+                mu_prime = graph.factorize(ext, mu.degree)[1]
             except FactorizationError:
                 bad.append((str(x), str(m), "witness does not factor"))
                 continue
-            if chart is None:
-                bad.append((str(x), str(m), "no FA extension of the witness"))
-                continue
-            _, mu_prime = chart
             for y in ps:
                 if not y.contains(mu_prime):
                     continue
@@ -290,11 +280,11 @@ def check_local_homeo_witness(graph: KGraph, bound: Degree) -> dict:
             mu = degree_witness(x, m)
             if mu is None:
                 continue
-            chart = _fa_chart(x, mu)
-            if chart is None:
+            mumu = fa_extension(x, mu)
+            if mumu is None:
                 bad.append((str(x), str(m), "no FA extension"))
                 continue
-            mumu, mu_prime = chart
+            mu_prime = graph.factorize(mumu, mu.degree)[1]
             checked += 1
             dom = [y for y in ps if y.contains(mumu)]
             images = [shift_off(mu, y) for y in dom]

@@ -4,7 +4,9 @@ fixtures.
 Ground truth ships as machine-checkable annotations (membership
 predicates, witness constructors, declared infinite families) rather
 than hard-coded test constants, so the same cross-validation harness
-runs on user graphs.
+runs on user graphs.  Escape families for non-compact cylinders are not
+annotations: the one for lambda outside FA is the declared mce family of
+lambda's re-verified witness pair.
 
 Color convention: solid edges in the skeleton drawings are color 1,
 dashed edges are color 2.
@@ -42,14 +44,15 @@ class MorphismFamily:
 
 @dataclass
 class CatalogAnnotations:
-    """Declared ground truth for an infinite catalog graph."""
+    """Declared ground truth for an infinite catalog graph.  The escape
+    family of lambda outside FA is derived from it, as
+    ``declared_mce(*fa_false_witness(lambda))``."""
 
     graph_name: str
     fa_excluded: Callable[[Morphism], bool]
     fa_certified_all: bool = False
     declared_mce: Callable[[Morphism, Morphism], Optional[MorphismFamily]] = lambda a, b: None
     fa_false_witness: Callable[[Morphism], Optional[tuple[Morphism, Morphism]]] = lambda m: None
-    escape_family: Callable[[Morphism], Optional[MorphismFamily]] = lambda m: None
     filter_families: list[MorphismFamily] = field(default_factory=list)
 
 
@@ -74,8 +77,8 @@ def lambda_tg(cutoff: int = 3) -> KGraph:
         edges.append(Edge(Name("alpha", (n,)), 2, u, w))
         squares.append(((Name("mu"), Name("beta", (n,))), (Name("lambda"), Name("alpha", (n,)))))
     families = [
-        EdgeFamily("beta", 1, 1, VertexPattern("u"), VertexPattern("t")),
-        EdgeFamily("alpha", 2, 1, VertexPattern("u"), VertexPattern("w")),
+        EdgeFamily("beta", 1, 1, VertexPattern("t")),
+        EdgeFamily("alpha", 2, 1, VertexPattern("w")),
     ]
     g = KGraph("tg", 2, [t, u, v, w], edges, squares, families=families)
 
@@ -101,10 +104,6 @@ def lambda_tg(cutoff: int = 3) -> KGraph:
             return (lam_m, mu_m)
         return None
 
-    def escape(m: Morphism) -> Optional[MorphismFamily]:
-        # principal filters of mu.beta[n] contain v, lambda and mu
-        return infinite_pair if m in excluded else None
-
     families_decl = [
         MorphismFamily("alpha[n]", indices, lambda n: g.edge_morphism(Name("alpha", (n,)))),
         MorphismFamily("beta[n]", indices, lambda n: g.edge_morphism(Name("beta", (n,)))),
@@ -115,7 +114,6 @@ def lambda_tg(cutoff: int = 3) -> KGraph:
         fa_excluded=lambda m: m in excluded,
         declared_mce=declared_mce,
         fa_false_witness=witness,
-        escape_family=escape,
         filter_families=families_decl,
     )
     return g
@@ -159,10 +157,10 @@ def lambda_tg_infinity(blocks: int = 2, cutoff: int = 3) -> KGraph:
                 )
             )
     families = [
-        EdgeFamily("lambda", 1, 1, VertexPattern("w", (Var(0),)), VertexPattern("v", (Var(0),))),
-        EdgeFamily("mu", 2, 1, VertexPattern("t", (Var(0),)), VertexPattern("v", (Var(0),))),
-        EdgeFamily("beta", 1, 2, VertexPattern("v", (Var(0, 1),)), VertexPattern("t", (Var(0),))),
-        EdgeFamily("alpha", 2, 2, VertexPattern("v", (Var(0, 1),)), VertexPattern("w", (Var(0),))),
+        EdgeFamily("lambda", 1, 1, VertexPattern("v", (Var(0),))),
+        EdgeFamily("mu", 2, 1, VertexPattern("v", (Var(0),))),
+        EdgeFamily("beta", 1, 2, VertexPattern("t", (Var(0),))),
+        EdgeFamily("alpha", 2, 2, VertexPattern("w", (Var(0),))),
     ]
 
     def window(m: Morphism) -> bool:
@@ -231,16 +229,11 @@ def lambda_tg_infinity(blocks: int = 2, cutoff: int = 3) -> KGraph:
                 return family_for(first, n)
         return None
 
-    def escape(m: Morphism) -> MorphismFamily:
-        mu_w, _ = witness(m)
-        return family_for(mu_w, mu_w.source.index[0])
-
     g.annotations = CatalogAnnotations(
         graph_name="tg-infinity",
         fa_excluded=lambda m: True,
         declared_mce=declared_mce,
         fa_false_witness=witness,
-        escape_family=escape,
     )
     return g
 
@@ -278,9 +271,9 @@ def lambda_yee(cutoff: int = 3) -> KGraph:
                 )
             )
     families = [
-        EdgeFamily("mu", 2, 1, VertexPattern("t", (Var(0),)), VertexPattern("v")),
-        EdgeFamily("beta", 1, 2, VertexPattern("u", (Var(0), Var(1))), VertexPattern("t", (Var(0),))),
-        EdgeFamily("alpha", 2, 2, VertexPattern("u", (Var(0), Var(1))), VertexPattern("w")),
+        EdgeFamily("mu", 2, 1, VertexPattern("v")),
+        EdgeFamily("beta", 1, 2, VertexPattern("t", (Var(0),))),
+        EdgeFamily("alpha", 2, 2, VertexPattern("w")),
     ]
     g = KGraph("yee", 2, vertices, edges, squares, families=families)
 
@@ -313,13 +306,6 @@ def lambda_yee(cutoff: int = 3) -> KGraph:
             return (m, lam_m)
         return None
 
-    def escape(m: Morphism) -> Optional[MorphismFamily]:
-        if m == v_m or m == lam_m:
-            return pair_family(1)
-        if len(m.word) == 1 and m.word[0].base == "mu":
-            return pair_family(m.word[0].index[0])
-        return None
-
     filter_families = []
     for i in indices:
         filter_families.append(
@@ -340,7 +326,6 @@ def lambda_yee(cutoff: int = 3) -> KGraph:
         fa_excluded=excluded,
         declared_mce=declared_mce,
         fa_false_witness=witness,
-        escape_family=escape,
         filter_families=filter_families,
     )
     return g

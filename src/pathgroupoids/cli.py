@@ -49,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         if name == "align":
             p.add_argument("--element", help="morphism name, e.g. lambda or mu.beta[1]")
-            p.add_argument("--all", action="store_true", help="verdicts for every enumerated morphism")
+            p.add_argument(
+                "--all", action="store_true", help="ignored: every verdict is listed unless --element"
+            )
             p.add_argument("--structure", action="store_true", help="run the FA structure suites")
         if name == "paths":
             p.add_argument("--probe", help="compactness probe at this morphism")

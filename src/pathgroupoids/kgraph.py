@@ -95,7 +95,7 @@ class Edge:
 
 
 # Index expressions inside family vertex patterns: a fixed integer or a
-# family index variable plus an offset (v[m+1] for the block gluing).
+# family index variable.
 @dataclass(frozen=True)
 class Const:
     value: int
@@ -104,7 +104,6 @@ class Const:
 @dataclass(frozen=True)
 class Var:
     position: int
-    offset: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ class VertexPattern:
     base: str
     exprs: tuple[object, ...] = ()
 
-    def match(self, vertex: Name, arity: int) -> Optional[dict[int, int]]:
+    def match(self, vertex: Name) -> Optional[dict[int, int]]:
         """Solve exprs == vertex.index; returns the partial variable
         assignment, or None if the vertex cannot match."""
         if vertex.base != self.base or len(vertex.index) != len(self.exprs):
@@ -123,12 +122,9 @@ class VertexPattern:
                 if e.value != value:
                     return None
             else:
-                v = value - e.offset
-                if v < 1:
+                if value < 1 or assignment.get(e.position, value) != value:
                     return None
-                if assignment.get(e.position, v) != v:
-                    return None
-                assignment[e.position] = v
+                assignment[e.position] = value
         return assignment
 
 
@@ -143,23 +139,13 @@ class EdgeFamily:
     base: str
     color: int
     arity: int
-    source_pattern: VertexPattern
     range_pattern: VertexPattern
 
     def contributes_infinitely(self, vertex: Name) -> bool:
-        assignment = self.range_pattern.match(vertex, self.arity)
+        assignment = self.range_pattern.match(vertex)
         if assignment is None:
             return False
         return len(assignment) < self.arity
-
-
-@dataclass
-class Square:
-    """A commuting square a.b = c.d, stored with the descending
-    (color-2-then-color-1) word first."""
-
-    desc: tuple[Name, Name]
-    asc: tuple[Name, Name]
 
 
 class Morphism:
@@ -268,7 +254,6 @@ class KGraph:
         annotations=None,
         window: Callable[[Morphism], bool] | None = None,
         expect_complete: bool = True,
-        check: bool = True,
     ):
         self.name = name
         self.rank = rank
@@ -283,10 +268,9 @@ class KGraph:
         self.window = window
         self.expect_complete = expect_complete
 
-        # rewrite tables: descending word (c2,c1) <-> ascending word (c1,c2)
-        self._desc_to_asc: dict[tuple[Name, Name], tuple[Name, Name]] = {}
+        # the squares as rewrite tables: descending (c2,c1) <-> ascending (c1,c2)
+        self.squares: dict[tuple[Name, Name], tuple[Name, Name]] = {}
         self._asc_to_desc: dict[tuple[Name, Name], tuple[Name, Name]] = {}
-        self.squares: list[Square] = []
         for side_a, side_b in squares:
             self._add_square(side_a, side_b)
 
@@ -297,9 +281,7 @@ class KGraph:
             lst.sort(key=lambda e: e.name)
 
         self._memo: dict[tuple, object] = {}
-
-        if check:
-            self.validate()
+        self.validate()
 
     # -- construction & validation -------------------------------------
 
@@ -332,14 +314,13 @@ class KGraph:
             raise PresentationError(
                 "square sides do not share range and source", witness=(desc, asc)
             )
-        if desc in self._desc_to_asc or asc in self._asc_to_desc:
+        if desc in self.squares or asc in self._asc_to_desc:
             raise PresentationError(
                 "factorisation property violated: bicolored path in two squares",
-                witness=desc if desc in self._desc_to_asc else asc,
+                witness=desc if desc in self.squares else asc,
             )
-        self._desc_to_asc[desc] = asc
+        self.squares[desc] = asc
         self._asc_to_desc[asc] = desc
-        self.squares.append(Square(desc, asc))
 
     def validate(self) -> None:
         if self.rank > 2:
@@ -364,7 +345,7 @@ class KGraph:
                 if a.source != b.range or a.color == b.color:
                     continue
                 word = (a.name, b.name)
-                table = self._desc_to_asc if (a.color, b.color) == (2, 1) else self._asc_to_desc
+                table = self.squares if (a.color, b.color) == (2, 1) else self._asc_to_desc
                 if word not in table:
                     raise PresentationError(
                         "factorisation property violated: bicolored path not in any square",
@@ -427,7 +408,7 @@ class KGraph:
             for i in range(len(w) - 1):
                 pair = (w[i], w[i + 1])
                 if self.edges[pair[0]].color > self.edges[pair[1]].color:
-                    repl = self._desc_to_asc.get(pair)
+                    repl = self.squares.get(pair)
                     if repl is not None:
                         w[i], w[i + 1] = repl
                         changed = True
@@ -478,7 +459,7 @@ class KGraph:
         while j > 0:
             pair = (w[j - 1], w[j])
             ca, cb = self.edges[pair[0]].color, self.edges[pair[1]].color
-            table = self._desc_to_asc if ca > cb else self._asc_to_desc
+            table = self.squares if ca > cb else self._asc_to_desc
             if ca == cb or pair not in table:
                 raise FactorizationError(f"no square to pull {pair[1]} across {pair[0]}")
             w[j - 1], w[j] = table[pair]
@@ -736,7 +717,6 @@ def load_presentation(text: str, name: str = "user", cutoff: int = 3) -> KGraph:
                     base,
                     color,
                     len(idx_vars),
-                    VertexPattern(src.base, tuple(Const(i) for i in src.index)),
                     VertexPattern(rng.base, tuple(Const(i) for i in rng.index)),
                 )
                 families.append(fam)

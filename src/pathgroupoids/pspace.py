@@ -8,9 +8,9 @@ Limits are taken in one place.  :func:`pointwise_limit` decides the
 eventual membership of every morphism up to the bound and every element
 of the family's terms, runs :func:`is_filter` once on a convergent
 limit, and returns the limit as a :class:`Filter` when it is one and the
-reason when it is not.  The boundary-path space, the compactness probes
-and the closure checks of the action and the groupoid all read that
-result.
+reason when it is not.  The boundary-path space, the compactness probes,
+the closure checks of the action and the groupoid, and the path-space
+side of ``spielberg.relative_filter_space`` all read that result.
 """
 
 from __future__ import annotations
@@ -75,6 +75,11 @@ class Filter(ExplicitSubset):
 
     def sort_key(self):
         return (str(self.range), tuple(sorted(str(m) for m in self.elements)))
+
+    def top(self) -> Morphism:
+        """The element of largest total degree, ties broken by sort order:
+        the maximum of a finite filter."""
+        return max(self.elements, key=lambda m: (m.degree.total, m.sort_key()))
 
 
 def is_filter(view: ExplicitSubset) -> tuple[bool, Optional[str]]:
@@ -262,6 +267,15 @@ def pointwise_limit(seq: DescribedSequence, bound: Degree) -> LimitResult:
 # -- path space and boundary-path space ------------------------------------
 
 
+def fa_extension(x: Filter, lam: Morphism) -> Optional[Morphism]:
+    """The first element of x, in sort order, above lam and in FA; None
+    when x holds none."""
+    for m in x:
+        if is_fa(m) is Verdict.TRUE and x.graph.prefix_leq(lam, m):
+            return m
+    return None
+
+
 @per_graph
 def ps_membership(x: Filter) -> tuple[Verdict, dict]:
     """Does x meet FA(Lambda)?  Certified through the stronger form: every
@@ -271,15 +285,11 @@ def ps_membership(x: Filter) -> tuple[Verdict, dict]:
     if any(v is Verdict.TRUE for v in verdicts.values()):
         witnesses = {}
         for lam in x.elements:
-            ext = [
-                m
-                for m in x.elements
-                if verdicts[m] is Verdict.TRUE and x.graph.prefix_leq(lam, m)
-            ]
-            if not ext:
+            ext = fa_extension(x, lam)
+            if ext is None:
                 # contradicts the strengthened characterisation; surface it
                 return Verdict.FALSE, {"inconsistent_at": str(lam)}
-            witnesses[str(lam)] = str(sorted(ext, key=Morphism.sort_key)[0])
+            witnesses[str(lam)] = str(ext)
         record["witnesses"] = witnesses
         return Verdict.TRUE, record
     if all(v is Verdict.FALSE for v in verdicts.values()):
@@ -345,11 +355,12 @@ def compactness_probe(
     """Executable evidence for the compactness characterisation of Z(lam).
 
     Finite graphs: exact (finite subspaces are compact).  For lam outside
-    FA, an escape certificate: a described sequence inside Z(lam) whose
-    pointwise limit (shared by every subsequence, the tails being
-    principal families) is not a filter, so no subsequence converges in
-    the space.  For annotated lam in FA, every supplied family must have
-    a convergent subsequence with a filter limit.
+    FA, an escape certificate: the declared infinite mce family of lam's
+    witness pair, a described sequence inside Z(lam) whose pointwise
+    limit (shared by every subsequence, the tails being principal
+    families) is not a filter, so no subsequence converges in the space.
+    For annotated lam in FA, every supplied family must have a convergent
+    subsequence with a filter limit.
     """
     graph = lam.graph
     if graph.is_finite:
@@ -357,7 +368,8 @@ def compactness_probe(
     verdict = is_fa(lam)
     ann = graph.annotations
     if verdict is Verdict.FALSE:
-        fam = ann.escape_family(lam) if ann is not None else None
+        witness = ann.fa_false_witness(lam) if ann is not None else None
+        fam = ann.declared_mce(*witness) if witness is not None else None
         if fam is None:
             return CompactEvidence("UnknownAtBound", reason="no escape family declared")
         seq = DescribedSequence(graph, fam)
@@ -474,11 +486,10 @@ def check_ps_open(graph: KGraph, bound: Degree) -> dict:
     ps = [x for x in all_f if in_ps(x)]
     bad = []
     for x in ps:
-        mus = [m for m in x.elements if is_fa(m) is Verdict.TRUE]
-        if not mus:
+        mu = fa_extension(x, graph.unit(x.range))
+        if mu is None:
             bad.append((x, "no FA witness"))
             continue
-        mu = sorted(mus, key=Morphism.sort_key)[0]
         for y in all_f:
             if y.contains(mu) and not in_ps(y):
                 bad.append((x, f"Z({mu}) leaves PS at {y}"))

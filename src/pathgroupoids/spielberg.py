@@ -22,10 +22,10 @@ from .pspace import (
     Cylinder,
     Filter,
     cylinder_membership,
+    declared_sequences,
     disjoint_limit,
     enumerate_filters,
-    is_filter,
-    principal,
+    pointwise_limit,
     ps_filters,
 )
 from .action import shift_off, shift_on
@@ -204,7 +204,7 @@ def canonical_triple(t: SpielbergTriple) -> SpielbergTriple:
     """Push the whole (finite) filter into the legs: the representative
     [alpha.gamma, beta.gamma, {s(gamma)}] for the maximum gamma of x."""
     graph = t.x.graph
-    gamma = max(t.x.elements, key=lambda m: (m.degree.total, m.sort_key()))
+    gamma = t.x.top()
     y = shift_off(gamma, t.x)
     if len(y.elements) != 1:
         raise KGraphError(f"filter {t.x} has no maximum; canonical form undefined")
@@ -403,46 +403,41 @@ def relative_filter_space(graph: KGraph, bound: Degree) -> dict:
 
     ps = ps_filters(graph, bound).filters
     fam_limits_ps: dict[str, Filter] = {}
-    for fam in ann.filter_families:
-        lim_f = Filter(graph, disjoint_limit(principal(m) for m in fam.members()))
-        if is_filter(lim_f)[0] and lim_f in set(ps):
-                fam_limits_ps[fam.description] = lim_f
+    for seq in declared_sequences(graph):
+        res = pointwise_limit(seq, bound)
+        if res.reason is None and res.limit in set(ps):
+            fam_limits_ps[seq.family.description] = res.limit
 
-    report = {
+    def points(space: list[Filter], limits: dict[str, Filter]) -> tuple[list[str], list[str]]:
+        """The nondiscrete points (the family limits) and the points with
+        an isolation witness: the cylinder of the filter's maximum meets
+        the space in that filter alone."""
+        nondiscrete = sorted({str(x) for x in limits.values()})
+        isolated = sorted(
+            str(x)
+            for x in space
+            if str(x) not in nondiscrete and [y for y in space if y.contains(x.top())] == [x]
+        )
+        return nondiscrete, isolated
+
+    nondiscrete_far, isolated_far = points(far_filters, fam_limits_far)
+    nondiscrete_ps, isolated_ps = points(ps, fam_limits_ps)
+    counts = [len(nondiscrete_far), len(nondiscrete_ps)]
+    return {
         "far_size": len(far_elements),
         "far_filters": [str(x) for x in far_filters],
-        "nondiscrete_far": sorted(
-            {str(x) for x in fam_limits_far.values()}
-        ),
-        "nondiscrete_ps": sorted({str(x) for x in fam_limits_ps.values()}),
+        "nondiscrete_far": nondiscrete_far,
+        "nondiscrete_ps": nondiscrete_ps,
         "limits_far": {k: str(v) for k, v in sorted(fam_limits_far.items())},
         "limits_ps": {k: str(v) for k, v in sorted(fam_limits_ps.items())},
+        "nondiscrete_points": {
+            "relative_filter_space": nondiscrete_far,
+            "path_space": nondiscrete_ps,
+        },
+        "counts": counts,
+        "homeomorphic": counts[0] == counts[1],
+        "isolated_far": isolated_far,
+        "isolated_ps": isolated_ps,
+        "isolation_complete": len(isolated_far) + counts[0] == len(far_filters)
+        and len(isolated_ps) + counts[1] == len(ps),
     }
-    report["nondiscrete_points"] = {
-        "relative_filter_space": report["nondiscrete_far"],
-        "path_space": report["nondiscrete_ps"],
-    }
-    report["counts"] = [len(report["nondiscrete_far"]), len(report["nondiscrete_ps"])]
-    report["homeomorphic"] = report["counts"][0] == report["counts"][1]
-
-    # isolation witnesses for the remaining points: the cylinder of the
-    # filter's maximum meets the space in that filter alone
-    def isolated(x: Filter, space: list[Filter]) -> bool:
-        top = max(x.elements, key=lambda m: (m.degree.total, m.sort_key()))
-        return [y for y in space if y.contains(top)] == [x]
-
-    report["isolated_far"] = sorted(
-        str(x)
-        for x in far_filters
-        if str(x) not in set(report["nondiscrete_far"]) and isolated(x, far_filters)
-    )
-    ps_list = list(ps)
-    report["isolated_ps"] = sorted(
-        str(x)
-        for x in ps_list
-        if str(x) not in set(report["nondiscrete_ps"]) and isolated(x, ps_list)
-    )
-    report["isolation_complete"] = len(report["isolated_far"]) + report["counts"][0] == len(
-        far_filters
-    ) and len(report["isolated_ps"]) + report["counts"][1] == len(ps_list)
-    return report

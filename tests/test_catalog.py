@@ -136,7 +136,7 @@ def test_squares_graph_has_a_twisted_pairing():
     # the pairing is not a product: h[1] meets both m[1] and m[2]
     firsts = {
         desc[0].index[0]
-        for desc, asc in ((s.desc, s.asc) for s in g.squares)
+        for desc, asc in g.squares.items()
         if asc[0] == Name("h", (1,))
     }
     assert firsts == {1, 2}

@@ -500,7 +500,7 @@ def test_normal_form_soundness_under_rewrites():
             base = g._from_word(names)
             for i in range(len(names) - 1):
                 pair = (names[i], names[i + 1])
-                for table in (g._desc_to_asc, g._asc_to_desc):
+                for table in (g.squares, g._asc_to_desc):
                     if pair in table:
                         rewritten = names[:i] + table[pair] + names[i + 2 :]
                         assert g._from_word(rewritten) == base

@@ -166,3 +166,69 @@ def test_every_exported_name_has_a_caller_in_the_package():
     trees = _trees()
     dead = [name for name in pathgroupoids.__all__ if not _referenced(name, trees)]
     assert not dead, f"__all__ names without a caller in the package: {dead}"
+
+
+# Stored data and parameters that the package does not read, each kept
+# for a reason.
+UNREAD_ALLOWED = {
+    # the honesty flag of an action value: the tests read it
+    "action.ActionValue.ps_verdict",
+    # every command handler takes (args, graph, bound); validate needs no bound
+    "cli.cmd_validate(bound)",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass" for d in node.decorator_list
+    )
+
+
+def _unread(module: str, node: ast.AST, owner: str, read_attrs: set[str]):
+    """Dataclass fields never read as an attribute, and parameters never
+    read in their function's body, below `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            qualified = f"{owner}{child.name}"
+            if _is_dataclass(child):
+                for stmt in child.body:
+                    if (
+                        isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in read_attrs
+                    ):
+                        yield f"{module}.{qualified}.{stmt.target.id}"
+            yield from _unread(module, child, f"{qualified}.", read_attrs)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualified = f"{owner}{child.name}"
+            args = child.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {
+                n.id
+                for stmt in child.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for p in params:
+                if p is not None and p.arg not in ("self", "cls") and p.arg not in read:
+                    yield f"{module}.{qualified}({p.arg})"
+            yield from _unread(module, child, f"{qualified}.", read_attrs)
+        else:
+            yield from _unread(module, child, owner, read_attrs)
+
+
+def test_every_field_and_parameter_is_read():
+    """Every dataclass field is read as an attribute somewhere in the
+    package, and every function parameter is read in its function's
+    body: stored data that nothing reads fails here."""
+    trees = _trees()
+    read_attrs = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = {q for module, tree in trees.items() for q in _unread(module, tree, "", read_attrs)}
+    assert UNREAD_ALLOWED <= found, f"stale UNREAD_ALLOWED entries: {UNREAD_ALLOWED - found}"
+    unread = sorted(found - UNREAD_ALLOWED)
+    assert not unread, f"fields or parameters that nothing reads: {unread}"

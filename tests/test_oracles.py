@@ -458,3 +458,34 @@ def test_row_kernel_matches_the_per_pair_mce(name, monkeypatch):
             assert al.mce(mu, nu) == want, (str(mu), str(nu))
     expected = {("a", "c"), ("c", "a"), ("a.b", "c"), ("c.d", "a")} if name == "word" else set()
     assert fallback == expected
+
+
+FA_EXTENSION_GRAPHS = [*finite_examples(), lambda_tg(3), lambda_yee(3)]
+
+
+def _bound(graph):
+    return B22 if graph.rank == 2 else Degree((3,))
+
+
+@pytest.mark.parametrize("graph", FA_EXTENSION_GRAPHS, ids=lambda g: g.name)
+def test_fa_extension_is_the_first_fa_element_above(graph):
+    """fa_extension(x, lam) is the first, in sort order, of the brute-force
+    set {m in x : lam <= m, m in FA}, and None when that set is empty."""
+    empty = 0
+    for x in ps.enumerate_filters(graph, _bound(graph)).filters:
+        for lam in x.elements:
+            above = [
+                m
+                for m in x.elements
+                if lam in graph.prefixes(m) and al.is_fa(m) is al.Verdict.TRUE
+            ]
+            expected = min(above, key=Morphism.sort_key) if above else None
+            empty += expected is None
+            assert ps.fa_extension(x, lam) == expected, (str(x), str(lam))
+    assert graph.is_finite or empty
+
+
+@pytest.mark.parametrize("graph", FA_EXTENSION_GRAPHS, ids=lambda g: g.name)
+def test_principal_filter_top_is_its_generator(graph):
+    for m in graph.enumerate_morphisms(_bound(graph)).morphisms:
+        assert ps.principal(m).top() == m

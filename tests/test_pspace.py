@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ from pathgroupoids.catalog import (
     finite_examples,
     grid,
     lambda_tg,
+    lambda_tg_infinity,
     lambda_yee,
     line,
 )
@@ -305,6 +307,35 @@ def test_probe_yee():
     assert ev_v.kind == "NonCompact"
     ev_mu = ps.compactness_probe(y.morphism("mu[2]"), Degree((1, 1)))
     assert ev_mu.kind == "NonCompact" and sorted(ev_mu.limit) == ["lambda", "mu[2]", "v"]
+
+
+ESCAPE_GRAPHS = {
+    "tg": lambda: lambda_tg(3),
+    "yee": lambda: lambda_yee(3),
+    "tg-infinity": lambda: lambda_tg_infinity(2, 3),
+}
+
+
+@functools.cache
+def _fa_excluded(name: str) -> dict:
+    """The FA-excluded morphisms at (2,2) of a catalog graph, by name."""
+    g = ESCAPE_GRAPHS[name]()
+    return {str(m): m for m in g.enumerate_morphisms(B22).morphisms if g.annotations.fa_excluded(m)}
+
+
+@pytest.mark.parametrize(
+    "name,element", [(name, e) for name in sorted(ESCAPE_GRAPHS) for e in _fa_excluded(name)]
+)
+def test_escape_family_is_the_mce_family_of_the_witness(name, element):
+    """The escape family of lambda outside FA is the declared mce family
+    of lambda's witness pair, and each of its terms lies in Z(lambda)."""
+    m = _fa_excluded(name)[element]
+    ann = m.graph.annotations
+    fam = ann.declared_mce(*ann.fa_false_witness(m))
+    ev = ps.compactness_probe(m, B22)
+    assert ev.kind == "NonCompact"
+    assert ev.family == f"principal({fam.description})"
+    assert all(ps.principal(k).contains(m) for k in fam.members())
 
 
 # -- topology suites ----------------------------------------------------------
