@@ -19,6 +19,7 @@ from .kgraph import FactorizationError, KGraph, KGraphError, Morphism, per_graph
 from .pspace import (
     Filter,
     LimitOutcome,
+    canonical_filter,
     declared_sequences,
     disjoint_limit,
     enumerate_filters,
@@ -46,7 +47,9 @@ def shift_off(lam: Morphism, x: Filter) -> Filter:
     graph = x.graph
     if not x.contains(lam):
         raise ShiftDomainError(f"{lam} is not in the filter {x}")
-    return Filter(graph, [tail for kappa in x.elements for tail in graph.tails(lam, kappa)])
+    return canonical_filter(
+        graph, frozenset(tail for kappa in x.elements for tail in graph.tails(lam, kappa))
+    )
 
 
 @per_graph
@@ -59,7 +62,7 @@ def shift_on(lam: Morphism, x: Filter) -> Filter:
     out: set[Morphism] = set()
     for mu in x.elements:
         out.update(graph.prefixes(graph.compose(lam, mu)))
-    return Filter(graph, out)
+    return canonical_filter(graph, frozenset(out))
 
 
 @per_graph
@@ -121,7 +124,7 @@ def check_roundtrips(graph: KGraph, bound: Degree) -> dict:
     morphs = graph.enumerate_morphisms(bound).morphisms
     bad, checked = [], 0
     for x in filters:
-        for lam in sorted(x.elements, key=Morphism.sort_key):
+        for lam in x.ordered:
             checked += 1
             if shift_on(lam, shift_off(lam, x)) != x:
                 bad.append(("on.off", str(lam), str(x)))
@@ -169,7 +172,7 @@ def check_ultrafilter_preservation(graph: KGraph, bound: Degree) -> dict:
 
     bad, checked = [], 0
     for x in ultra:
-        for lam in sorted(x.elements, key=Morphism.sort_key):
+        for lam in x.ordered:
             checked += 1
             if not still_maximal(shift_off(lam, x)):
                 bad.append(("off", str(lam), str(x)))
@@ -189,7 +192,7 @@ def check_ps_preservation(graph: KGraph, bound: Degree) -> dict:
     right_escapes = []
     morphs = graph.enumerate_morphisms(bound).morphisms
     for x in ps:
-        for lam in sorted(x.elements, key=Morphism.sort_key):
+        for lam in x.ordered:
             checked += 1
             if not in_ps(shift_off(lam, x)):
                 bad.append((str(lam), str(x)))

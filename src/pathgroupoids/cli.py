@@ -79,11 +79,11 @@ def resolve_bound(args, graph: KGraph) -> Degree:
         return Degree((2,) * graph.rank if graph.rank > 1 else (3,))
     try:
         coords = tuple(int(p) for p in args.bound.split(","))
-        if len(coords) != graph.rank:
-            raise ValueError
-        return Degree(coords)
-    except (ValueError, TypeError):
+    except ValueError:
+        raise ValueError(f"bound {args.bound!r} has a coordinate that is not an integer") from None
+    if len(coords) != graph.rank:
         raise ValueError(f"bound {args.bound!r} does not match the graph rank {graph.rank}")
+    return Degree(coords)  # a DegreeError names a negative coordinate
 
 
 def _verdict_json(m, v: al.FaVerdict) -> dict:

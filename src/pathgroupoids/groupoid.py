@@ -10,9 +10,10 @@ y = sigma^nu z.  Element equality ignores certificates.
 A (graph, bound) fragment is enumerated and composed once.  `spans`
 lists its spans, `span_elements` builds the element of each,
 `enumerate_pg` numbers the distinct elements by position, and
-`composition_table` maps each composable pair of those ids to the id of
-its composite, composing every pair once through `compose_elements`.
-`axiom_suite` and `spielberg.iso_check` both read the table.
+`composition_table` holds one row per id: row i maps each id j composable
+after i to the id of g_i g_j, composing every pair once through
+`compose_elements`.  `axiom_suite` and `spielberg.iso_check` both read
+the rows.
 """
 
 from __future__ import annotations
@@ -192,21 +193,24 @@ def enumerate_pg(graph: KGraph, bound: Degree) -> list[GroupoidElement]:
 
 
 @per_graph
-def composition_table(graph: KGraph, bound: Degree) -> dict[tuple[int, int], int]:
-    """(i, j) -> the id of g_i g_j for every composable pair of
-    `enumerate_pg` ids, each pair composed once by `compose_elements`,
-    which re-verifies the certificate.  A pair whose composite equals no
-    enumerated element (a fragment not closed under composition) is left
-    out, and its readers compose it themselves."""
+def composition_table(graph: KGraph, bound: Degree) -> list[dict[int, int]]:
+    """One row per `enumerate_pg` id: rows[i][j] is the id of g_i g_j for
+    every j composable after i, each pair composed once by
+    `compose_elements`, which re-verifies the certificate.  A pair whose
+    composite equals no enumerated element (a fragment not closed under
+    composition) is left out of its row, and its readers compose it
+    themselves."""
     elements = enumerate_pg(graph, bound)
     ids = {g: i for i, g in enumerate(elements)}
-    table: dict[tuple[int, int], int] = {}
-    for i, after in enumerate(_composable_after(elements)):
+    rows: list[dict[int, int]] = []
+    for g, after in zip(elements, _composable_after(elements)):
+        row: dict[int, int] = {}
         for j in after:
-            c = ids.get(compose_elements(elements[i], elements[j]))
+            c = ids.get(compose_elements(g, elements[j]))
             if c is not None:
-                table[i, j] = c
-    return table
+                row[j] = c
+        rows.append(row)
+    return rows
 
 
 def _composable_after(elements: list[GroupoidElement]) -> list[list[int]]:
@@ -277,7 +281,7 @@ def paired_fa_witnesses(
                 raise GroupoidError(f"{t} has no common extension with the witness in {flt}")
             needed.append(graph.tails(base, ext)[0])
 
-    for tau in sorted(w.elements, key=Morphism.sort_key):
+    for tau in w.ordered:
         if not all(graph.prefix_leq(t, tau) for t in needed):
             continue
         mu = graph.compose(wx, tau)
@@ -356,19 +360,21 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
     round-trips and certificate re-verification.
 
     Every law is read off integer ids.  The element at position i of
-    `enumerate_pg` has id i, and `composition_table` gives the composite
-    of each composable pair of ids; a composite that equals no enumerated
-    element (a fragment not closed under composition) gets the next free
-    id, local to this call, and a pair the table lacks is composed here by
-    `compose_elements`.  The inverse and unit laws look up the ids of
-    invert(g) and of g's units; associativity compares the ids of (gh)k
-    and g(hk) for each triple (g, h, k).  Triples run in enumeration
-    order, so counterexamples come out in that order."""
+    `enumerate_pg` has id i, and row i of `composition_table` gives the
+    composite of i with each id composable after it; a composite that
+    equals no enumerated element (a fragment not closed under
+    composition) gets the next free id, local to this call, and a pair
+    the rows lack is composed here by `compose_elements`.  The inverse
+    and unit laws look up the ids of invert(g) and of g's units;
+    associativity compares the ids of (gh)k and g(hk) for each triple
+    (g, h, k).  Triples run in enumeration order, so counterexamples
+    come out in that order."""
     elements = enumerate_pg(graph, bound)
-    table = composition_table(graph, bound)
+    rows = composition_table(graph, bound)
+    n = len(rows)
     ids = {g: i for i, g in enumerate(elements)}
     objs = list(elements)  # a copy: the memoised enumeration must not grow
-    local: dict[tuple[int, int], int] = {}  # composites the table lacks
+    local: dict[int, dict[int, int]] = {}  # composites the rows lack, by first id
 
     def id_of(g: GroupoidElement) -> int:
         i = ids.setdefault(g, len(objs))
@@ -377,11 +383,12 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
         return i
 
     def comp(i: int, j: int) -> int:
-        c = table.get((i, j))
+        c = rows[i].get(j) if i < n else None
         if c is None:
-            c = local.get((i, j))
+            row = local.setdefault(i, {})
+            c = row.get(j)
             if c is None:
-                c = local[i, j] = id_of(compose_elements(objs[i], objs[j]))
+                c = row[j] = id_of(compose_elements(objs[i], objs[j]))
         return c
 
     bad: list = []
@@ -543,7 +550,7 @@ def unit_space_check(graph: KGraph, bound: Degree) -> dict:
     mismatches = []
     for x in ps:
         u = unit_element(x)
-        for m in sorted(x.elements, key=Morphism.sort_key):
+        for m in x.ordered:
             if is_fa(m) is not Verdict.TRUE:
                 continue
             b = BasicGroupoidSet(m, m)

@@ -11,6 +11,13 @@ limit, and returns the limit as a :class:`Filter` when it is one and the
 reason when it is not.  The boundary-path space, the compactness probes,
 the closure checks of the action and the groupoid, and the path-space
 side of ``spielberg.relative_filter_space`` all read that result.
+
+Filters are canonical per graph: every filter the package builds comes
+from :func:`canonical_filter`, which keeps one :class:`Filter` per set
+of morphisms in the graph's memo table.  Equal filters of one graph are
+then one object, so memo keys and element comparisons settle on the
+identity check.  A subset's hash and its elements in sort order
+(``ordered``) are computed once, when it is built.
 """
 
 from __future__ import annotations
@@ -34,17 +41,19 @@ class SubsetError(ValueError):
 class ExplicitSubset:
     """A finite subset of Lambda, the workhorse view."""
 
-    __slots__ = ("graph", "elements")
+    __slots__ = ("graph", "elements", "ordered", "_hash")
 
     def __init__(self, graph: KGraph, elements: Iterable[Morphism]):
         self.graph = graph
         self.elements = frozenset(elements)
+        self.ordered = tuple(sorted(self.elements, key=Morphism.sort_key))
+        self._hash = hash((id(graph), self.elements))
 
     def contains(self, m: Morphism) -> bool:
         return m in self.elements
 
     def __iter__(self):
-        return iter(sorted(self.elements, key=Morphism.sort_key))
+        return iter(self.ordered)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -57,7 +66,7 @@ class ExplicitSubset:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.graph), self.elements))
+        return self._hash
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(m) for m in self) + "}"
@@ -85,7 +94,7 @@ class Filter(ExplicitSubset):
 def is_filter(view: ExplicitSubset) -> tuple[bool, Optional[str]]:
     """Filter axioms, exactly, with a counterexample message on failure."""
     graph = view.graph
-    elements = sorted(view.elements, key=Morphism.sort_key)
+    elements = view.ordered
     if not elements:
         return False, "empty"
     units = [m for m in elements if m.is_unit()]
@@ -107,10 +116,17 @@ def is_filter(view: ExplicitSubset) -> tuple[bool, Optional[str]]:
 
 
 @per_graph
+def canonical_filter(graph: KGraph, elements: frozenset[Morphism]) -> Filter:
+    """The one Filter of `graph` on `elements`: every filter of the
+    package is built here, so equal filters are the same object."""
+    return Filter(graph, elements)
+
+
+@per_graph
 def principal(lam: Morphism) -> Filter:
     """The principal filter of all prefixes of lam (finite: degrees below
     d(lam) are finitely many and factorisation is unique per degree)."""
-    return Filter(lam.graph, lam.graph.prefixes(lam))
+    return canonical_filter(lam.graph, frozenset(lam.graph.prefixes(lam)))
 
 
 @dataclass
@@ -260,7 +276,7 @@ def pointwise_limit(seq: DescribedSequence, bound: Degree) -> LimitResult:
     limit = ExplicitSubset(seq.graph, limit_elems)
     ok, reason = is_filter(limit)
     if ok:
-        limit = Filter(seq.graph, limit_elems)
+        limit = canonical_filter(seq.graph, limit_elems)
     return LimitResult(LimitOutcome.CONVERGES, limit, complete, decisions, probe, reason)
 
 
@@ -473,7 +489,7 @@ def check_basis_property(graph: KGraph, bound: Degree, seed: int = 0) -> dict:
 
 def upper_bound_in(x: Filter, K) -> Optional[Morphism]:
     """The first element of x, in sort order, above every element of K."""
-    for mu in sorted(x.elements, key=Morphism.sort_key):
+    for mu in x.ordered:
         if all(x.graph.prefix_leq(q, mu) for q in K):
             return mu
     return None

@@ -21,6 +21,7 @@ from .kgraph import KGraph, KGraphError, Morphism
 from .pspace import (
     Cylinder,
     Filter,
+    canonical_filter,
     cylinder_membership,
     declared_sequences,
     disjoint_limit,
@@ -90,7 +91,7 @@ class EHatSet:
 def e_hat_membership(x: Filter, e: EHatSet) -> bool:
     """x in E-hat iff some gamma in x has x intersect gamma.Lambda inside E."""
     graph = x.graph
-    for gamma in sorted(x.elements, key=Morphism.sort_key):
+    for gamma in x.ordered:
         tail = [m for m in x.elements if graph.prefix_leq(gamma, m)]
         if all(e.in_e(m) for m in tail):
             return True
@@ -188,11 +189,11 @@ def triple_equiv(
     [a,b,x] ~ [a',b',x']."""
     graph = t1.x.graph
     require_fa_certificate(graph)
-    for gamma in sorted(t1.x.elements, key=Morphism.sort_key):
+    for gamma in t1.x.ordered:
         y = shift_off(gamma, t1.x)
         ag = graph.compose(t1.alpha, gamma)
         bg = graph.compose(t1.beta, gamma)
-        for gamma2 in sorted(t2.x.elements, key=Morphism.sort_key):
+        for gamma2 in t2.x.ordered:
             if shift_off(gamma2, t2.x) != y:
                 continue
             if ag == graph.compose(t2.alpha, gamma2) and bg == graph.compose(t2.beta, gamma2):
@@ -221,9 +222,9 @@ def sp_compose(t1: SpielbergTriple, t2: SpielbergTriple) -> SpielbergTriple:
     require_fa_certificate(graph)
     if shift_on(t1.beta, t1.x) != shift_on(t2.alpha, t2.x):
         raise KGraphError(f"triples not composable: {t1} then {t2}")
-    for xi in sorted(t1.x.elements, key=Morphism.sort_key):
+    for xi in t1.x.ordered:
         b_xi = graph.compose(t1.beta, xi)
-        for eta in sorted(t2.x.elements, key=Morphism.sort_key):
+        for eta in t2.x.ordered:
             if b_xi != graph.compose(t2.alpha, eta):
                 continue
             z1, z2 = shift_off(xi, t1.x), shift_off(eta, t2.x)
@@ -258,9 +259,9 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     the k-th of `groupoid.span_elements`, which `enumerate_pg` has built.
     Composition is compared entrywise over composable class pairs: the
     triple side composes by witness search and maps through phi; the
-    element side reads the composite from `groupoid.composition_table`,
-    shared with `axiom_suite`, and composes by certificate arithmetic
-    only where the table has no entry.
+    element side reads the composite from the rows of
+    `groupoid.composition_table`, shared with `axiom_suite`, and composes
+    by certificate arithmetic only where a row has no entry.
     """
     require_fa_certificate(graph)
     triples = enumerate_triples(graph, bound)
@@ -305,7 +306,7 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
 
     # composition and inversion, entrywise over composable class pairs
     ids = {g: i for i, g in enumerate(elements)}
-    table = composition_table(graph, bound)
+    rows = composition_table(graph, bound)
     phi_of = {t: phi(t) for t in canon}
     middles: dict[Filter, list[SpielbergTriple]] = {}
     for t in canon:
@@ -318,7 +319,8 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
         comp_checked += 1
         lhs = phi(sp_compose(t1, t2))
         g1, g2 = phi_of[t1], phi_of[t2]
-        c = table.get((ids.get(g1), ids.get(g2)))
+        i = ids.get(g1)
+        c = None if i is None else rows[i].get(ids.get(g2))
         rhs = compose_elements(g1, g2) if c is None else elements[c]
         if lhs != rhs:
             bad.append(("composition", str(t1), str(t2)))
@@ -390,14 +392,14 @@ def relative_filter_space(graph: KGraph, bound: Degree) -> dict:
             for mu in graph.prefixes(m)
             if in_far(mu) and any(in_far(nu) for nu in graph.tails(mu, m))
         ]
-        return Filter(graph, down)
+        return canonical_filter(graph, frozenset(down))
 
     far_filters = sorted({far_down(m) for m in far_elements}, key=Filter.sort_key)
 
     fam_limits_far: dict[str, Filter] = {}
     for fam in ann.filter_families:
         terms = [far_down(m) for m in fam.members()]
-        lim_f = Filter(graph, disjoint_limit(terms))
+        lim_f = canonical_filter(graph, disjoint_limit(terms))
         if lim_f in set(far_filters) and len({t for t in terms}) == len(terms):
             fam_limits_far[fam.description] = lim_f
 

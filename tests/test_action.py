@@ -3,11 +3,13 @@ import dataclasses
 import pytest
 
 from pathgroupoids import action as ac
+from pathgroupoids import groupoid as gp
 from pathgroupoids import pspace as ps
 from pathgroupoids.alignment import Verdict
 from pathgroupoids.catalog import grid, lambda_tg, squares_graph
 from pathgroupoids.degree import Degree
-from pathgroupoids.kgraph import KGraphError, load_presentation
+from pathgroupoids.kgraph import KGraphError, Morphism, load_presentation
+from test_oracles import gen_product
 
 B22 = Degree((2, 2))
 
@@ -147,6 +149,46 @@ def test_action_memo_agrees_with_the_unmemoised_functions(maker):
         assert public(*args) is got
         returned += 1
     assert returned and raised
+
+
+def _reached_filters(graph, bound):
+    """Every filter that the enumerations, the path groupoid's elements
+    and the shifts and action over the fragment hand out."""
+    filters = ps.enumerate_filters(graph, bound).filters
+    ps_points = ps.ps_filters(graph, bound).filters
+    morphs = graph.enumerate_morphisms(bound).morphisms
+    yield from filters
+    yield from ps_points
+    for g in gp.enumerate_pg(graph, bound):
+        yield g.x
+        yield g.y
+    for x in filters:
+        for lam in morphs:
+            if x.contains(lam):
+                yield ac.shift_off(lam, x)
+            if lam.source == x.range:
+                yield ac.shift_on(lam, x)
+    for x in ps_points:
+        for m in bound.downset():
+            if ac.degree_witness(x, m) is not None:
+                yield ac.act(x, m)
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: grid(2), squares_graph, lambda: lambda_tg(2), gen_product],
+    ids=["grid", "squares", "tg", "product"],
+)
+def test_every_filter_is_the_canonical_one(maker):
+    """A graph has one Filter object per set of morphisms, and each
+    filter's `ordered` is its elements in sort order."""
+    graph = maker()
+    checked = 0
+    for f in _reached_filters(graph, B22):
+        assert ps.canonical_filter(graph, f.elements) is f, str(f)
+        assert f.ordered == tuple(sorted(f.elements, key=Morphism.sort_key)), str(f)
+        checked += 1
+    assert checked
 
 
 # -- exhaustive invariants ----------------------------------------------------

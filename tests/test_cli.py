@@ -1,4 +1,6 @@
 import json
+import random
+import re
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ from pathgroupoids import cli, groupoid
 from pathgroupoids.catalog import catalog_names
 from pathgroupoids.cli import build_parser, main
 from pathgroupoids.schema import ELEMENT_SCHEMA, REPORT_SCHEMA, VERDICT_SCHEMA
+from test_oracles import gen_document
 
 BAD_SQUARES = """
 vertices: t u v w
@@ -96,7 +99,17 @@ def test_catalog_rejects_cutoff_and_blocks_below_one(graph, option, value, capsy
 
 
 def test_bad_bound_is_an_input_error(capsys):
-    assert main(["align", "--graph", "tg", "--bound", "1,2,3"]) == 2
+    """Each way a bound can be wrong gets its own diagnostic."""
+    for graph, bound, message in (
+        ("tg", "1,2,3", "bound '1,2,3' does not match the graph rank 2"),
+        ("grid", "-1,0", "negative coordinate in degree (-1, 0)"),
+        ("grid", "a,b", "bound 'a,b' has a coordinate that is not an integer"),
+        ("grid", "2,", "bound '2,' has a coordinate that is not an integer"),
+    ):
+        assert main(["align", "--graph", graph, f"--bound={bound}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
 
 
 def test_unknown_element_is_an_input_error(capsys):
@@ -292,3 +305,85 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
         assert capsys.readouterr().out.endswith(build_parser().format_help())
     finally:
         cli._parser.cache_clear()
+
+
+# -- metamorphic invariance -----------------------------------------------------
+
+# the vertex and edge names of a generated document, and of its renaming
+GEN_NAME = re.compile(r"\b[ghk](?:_\d+)+\b")
+NEW_NAME = re.compile(r"\bz\d+\b")
+METAMORPHIC_COMMANDS = (
+    ("groupoid", "--spielberg"),
+    ("paths",),
+    ("align", "--all", "--structure"),
+)
+
+
+def _renamed(document: str, seed: int) -> str:
+    """Every vertex and edge renamed by a seeded permutation, so that the
+    names sort in a different order."""
+    names = sorted(set(GEN_NAME.findall(document)))
+    targets = [f"z{i}" for i in range(len(names))]
+    random.Random(seed).shuffle(targets)
+    table = dict(zip(names, targets))
+    return GEN_NAME.sub(lambda m: table[m.group()], document)
+
+
+def _colours_swapped(document: str) -> str:
+    """The document with colours 1 and 2 exchanged on every edge."""
+    swap = {"1": "2", "2": "1"}
+    return re.sub(r"^(  \S+) ([12]) ", lambda m: f"{m.group(1)} {swap[m.group(2)]} ", document, flags=re.M)
+
+
+def _shape(obj, flip: bool = False):
+    """A report with every name replaced by N and every list but a list
+    of integers read as a multiset; with `flip`, each pair of integers
+    (a degree or a q) is read in the other colour order.  Element certificates are left out:
+    the report gives the degrees of an element's first span, and span
+    order follows the names."""
+    if isinstance(obj, str):
+        return NEW_NAME.sub("N", GEN_NAME.sub("N", obj))
+    if isinstance(obj, dict):
+        return sorted(
+            json.dumps([_shape(k), _shape(v, flip)]) for k, v in obj.items() if k != "cert"
+        )
+    if isinstance(obj, list):
+        if obj and all(type(c) is int for c in obj):  # a degree, a q or a count vector
+            return obj[::-1] if flip and len(obj) == 2 else obj
+        return sorted(json.dumps(_shape(v, flip)) for v in obj)
+    return obj
+
+
+def _reports(path, bound, capsys):
+    out = []
+    for command, *options in METAMORPHIC_COMMANDS:
+        code = main([command, "--graph", str(path), "--bound", bound, *options, "--format", "json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        results.pop("bound")
+        out.append((command, code, results))
+    return out
+
+
+def test_reports_do_not_depend_on_names_or_colour_order(tmp_path, capsys):
+    """Renaming every vertex and edge of a generated presentation leaves
+    each command's exit code, counts and verdict tallies unchanged, and
+    so does exchanging the two colours with the bound permuted: no scan
+    order may depend on how things are named."""
+    document = gen_document((2, 1, 2, 1), seed=3)
+    variants = {
+        "original": (document, "2,1"),
+        "renamed": (_renamed(document, seed=5), "2,1"),
+        "swapped": (_colours_swapped(_renamed(document, seed=6)), "1,2"),
+    }
+    reports = {}
+    for name, (text, bound) in variants.items():
+        path = tmp_path / f"{name}.kg"
+        path.write_text(text, encoding="utf-8")
+        reports[name] = _reports(path, bound, capsys)
+    assert [code for _, code, _ in reports["original"]] == [0, 0, 0]
+    for name, flip in (("renamed", False), ("swapped", True)):
+        for (command, code, results), (_, code2, results2) in zip(
+            reports["original"], reports[name]
+        ):
+            assert code2 == code, (name, command)
+            assert _shape(results2, flip) == _shape(results), (name, command)

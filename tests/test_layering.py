@@ -64,6 +64,28 @@ def test_graph_caches_are_declared_in_init():
     assert readers == ["kgraph.py"]
 
 
+def test_every_filter_is_built_by_canonical_filter():
+    """A Filter is constructed only inside pspace.canonical_filter, so a
+    graph never holds two equal filters as different objects."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "canonical_filter"
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "Filter"
+                and id(node) not in allowed
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"Filter built outside canonical_filter: {found}"
+
+
 # per_graph finds the graph through the first argument's own ``graph``
 MEMO_KEY_TYPES = {"KGraph", "Morphism", "Filter"}
 

@@ -65,12 +65,14 @@ def test_composition_table_matches_compose_elements(name):
     graph = TABLE_GRAPHS[name]()
     bound = B22 if graph.rank == 2 else Degree((3,))
     elements = gp.enumerate_pg(graph, bound)
-    table = gp.composition_table(graph, bound)
+    rows = gp.composition_table(graph, bound)
     composable = [
         (i, j) for i, g in enumerate(elements) for j, h in enumerate(elements) if g.y == h.x
     ]
-    assert sorted(table) == composable
-    for (i, j), c in table.items():
+    assert len(rows) == len(elements)
+    cells = {(i, j): c for i, row in enumerate(rows) for j, c in row.items()}
+    assert sorted(cells) == composable
+    for (i, j), c in cells.items():
         assert elements[c] == gp.compose_elements(elements[i], elements[j]), (i, j)
     pairs = gp.axiom_suite(graph, bound)["composable_pairs"]
     assert pairs == len(composable)
