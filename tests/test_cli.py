@@ -332,15 +332,17 @@ def _renamed(document: str, seed: int) -> str:
 def _colours_swapped(document: str) -> str:
     """The document with colours 1 and 2 exchanged on every edge."""
     swap = {"1": "2", "2": "1"}
-    return re.sub(r"^(  \S+) ([12]) ", lambda m: f"{m.group(1)} {swap[m.group(2)]} ", document, flags=re.M)
+    return re.sub(
+        r"^(  \S+) ([12]) ", lambda m: f"{m.group(1)} {swap[m.group(2)]} ", document, flags=re.M
+    )
 
 
 def _shape(obj, flip: bool = False):
     """A report with every name replaced by N and every list but a list
     of integers read as a multiset; with `flip`, each pair of integers
-    (a degree or a q) is read in the other colour order.  Element certificates are left out:
-    the report gives the degrees of an element's first span, and span
-    order follows the names."""
+    (a degree or a q) is read in the other colour order.  Element
+    certificates are left out: the report gives the degrees of an
+    element's first span, and span order follows the names."""
     if isinstance(obj, str):
         return NEW_NAME.sub("N", GEN_NAME.sub("N", obj))
     if isinstance(obj, dict):
