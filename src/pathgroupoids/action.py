@@ -3,17 +3,15 @@ the path space.
 
 The left shift removes a prefix from a filter, the right shift glues one
 on; acting by a degree m shifts off the unique degree-m element of the
-filter.  The action is only applied to certified path-space points: an
-unknown path-space verdict propagates as a flag, never as a silent
-answer.
+filter.  The action is only applied to certified path-space points: a
+point whose path-space verdict is unknown is refused like one outside,
+never answered silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .alignment import Verdict
 from .degree import Degree
 from .kgraph import FactorizationError, KGraph, KGraphError, Morphism, per_graph
 from .pspace import (
@@ -27,7 +25,6 @@ from .pspace import (
     in_ps,
     pointwise_limit,
     ps_filters,
-    ps_membership,
     ultrafilters,
     upper_bound_in,
 )
@@ -75,26 +72,16 @@ def degree_witness(x: Filter, m: Degree) -> Optional[Morphism]:
     return hits[0] if hits else None
 
 
-@dataclass(frozen=True)
-class ActionValue:
-    filter: Filter
-    ps_verdict: Verdict
-
-
 @per_graph
-def act_flagged(x: Filter, m: Degree) -> ActionValue:
-    verdict, _ = ps_membership(x)
-    if verdict is Verdict.FALSE:
-        raise NotInPathSpaceError(f"{x} is not in the path space")
+def act(x: Filter, m: Degree) -> Filter:
+    """T(x, m) for certified path-space points; a point whose path-space
+    verdict is not True raises NotInPathSpaceError."""
+    if not in_ps(x):
+        raise NotInPathSpaceError(f"{x} is not a certified path-space point")
     w = degree_witness(x, m)
     if w is None:
         raise ShiftDomainError(f"{x} has no element of degree {m}")
-    return ActionValue(shift_off(w, x), verdict)
-
-
-def act(x: Filter, m: Degree) -> Filter:
-    """T(x, m) for certified path-space points."""
-    return act_flagged(x, m).filter
+    return shift_off(w, x)
 
 
 @per_graph

@@ -7,13 +7,12 @@ T(x, m) = T(y, n).  Certificates re-verify on demand, and every element
 round-trips through the span form (mu, nu, z) with x = sigma^mu z and
 y = sigma^nu z.  Element equality ignores certificates.
 
-A (graph, bound) fragment is enumerated and composed once.  `spans`
-lists its spans, `span_elements` builds the element of each,
-`enumerate_pg` numbers the distinct elements by position, and
-`composition_table` holds one row per id: row i maps each id j composable
-after i to the id of g_i g_j, composing every pair once through
-`compose_elements`.  `axiom_suite` and `spielberg.iso_check` both read
-the rows.
+A (graph, bound) fragment is enumerated and composed once, by
+`fragment`: its spans, the element of each, the distinct elements with
+their ids, and a composition table closed under composition, every
+composable pair composed once through `compose_elements`.  A composite
+outside the span elements is decided there alone; `axiom_suite` and
+`spielberg.iso_check` read composites only from the table.
 """
 
 from __future__ import annotations
@@ -158,68 +157,83 @@ def compose_elements(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
     return out
 
 
-# -- enumeration ------------------------------------------------------------
+# -- the fragment -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Fragment:
+    """The bounded piece of the path groupoid at (graph, bound), built
+    once by `fragment` and shared by every suite; nothing may mutate it.
+
+    `spans` are the spans (mu, nu, z) over the bounded enumeration whose
+    sides shift_on(mu, z) and shift_on(nu, z) stay in the enumerated path
+    space, in the order of z and then of the legs; `built[k]` is the
+    element of `spans[k]`, equal elements being one object.  `elements`,
+    the distinct ones in `GroupoidElement.sort_key` order, have ids 0..n-1.
+
+    The table is closed under composition: a composite that is no span
+    element gets the next id, and its own pairs are composed in turn.  This
+    terminates: on finite filters q = d(x) - d(y), so there are at most
+    |PS|^2 elements.  Span elements are closed under inversion (span
+    (nu, mu, z) inverts (mu, nu, z)) and hold every unit, so the closure is
+    the subgroupoid the spans generate; on grid(2) at (1, 1) it has 196
+    elements from 144.  `closure[c]` is the element with id c, `ids`
+    inverts it, and `rows[i][j]` is the id of g_i g_j for each j
+    composable after i, in increasing order of j, each pair composed once
+    by `compose_elements`, which re-verifies the certificate.
+    """
+
+    spans: list[tuple[Morphism, Morphism, Filter]]
+    built: list[GroupoidElement]
+    elements: list[GroupoidElement]
+    closure: list[GroupoidElement]
+    ids: dict[GroupoidElement, int]
+    rows: list[dict[int, int]]
 
 
 @per_graph
-def spans(graph: KGraph, bound: Degree) -> list[tuple[Morphism, Morphism, Filter]]:
-    """Every span (mu, nu, z) over the bounded enumeration whose sides
-    shift_on(mu, z) and shift_on(nu, z) stay inside the enumerated path
-    space, in the order of z and then of the legs.  The restriction keeps
-    the fragment closed under composition and inversion."""
+def fragment(graph: KGraph, bound: Degree) -> Fragment:
     morphs = graph.enumerate_morphisms(bound).morphisms
     ps = ps_filters(graph, bound).filters
     known = set(ps)
-    out = []
+    spans = []
     for z in ps:
         legs = [m for m in morphs if m.source == z.range and shift_on(m, z) in known]
-        out.extend((mu, nu, z) for mu, nu in itertools.product(legs, legs))
-    return out
-
-
-@per_graph
-def span_elements(graph: KGraph, bound: Degree) -> list[GroupoidElement]:
-    """The element of each span of `spans`, in span order; equal elements
-    are one shared object."""
+        spans.extend((mu, nu, z) for mu, nu in itertools.product(legs, legs))
     seen: dict[GroupoidElement, GroupoidElement] = {}
-    return [seen.setdefault(g, g) for g in (make_element(*span) for span in spans(graph, bound))]
+    built = [seen.setdefault(g, g) for g in (make_element(*span) for span in spans)]
+    elements = sorted(seen, key=GroupoidElement.sort_key)
 
-
-@per_graph
-def enumerate_pg(graph: KGraph, bound: Degree) -> list[GroupoidElement]:
-    """The elements of every span, deduped on (x, q, y), in sort order.
-    An element's position is its id in `composition_table`."""
-    return sorted(dict.fromkeys(span_elements(graph, bound)), key=GroupoidElement.sort_key)
-
-
-@per_graph
-def composition_table(graph: KGraph, bound: Degree) -> list[dict[int, int]]:
-    """One row per `enumerate_pg` id: rows[i][j] is the id of g_i g_j for
-    every j composable after i, each pair composed once by
-    `compose_elements`, which re-verifies the certificate.  A pair whose
-    composite equals no enumerated element (a fragment not closed under
-    composition) is left out of its row, and its readers compose it
-    themselves."""
-    elements = enumerate_pg(graph, bound)
-    ids = {g: i for i, g in enumerate(elements)}
-    rows: list[dict[int, int]] = []
-    for g, after in zip(elements, _composable_after(elements)):
-        row: dict[int, int] = {}
-        for j in after:
-            c = ids.get(compose_elements(g, elements[j]))
-            if c is not None:
-                row[j] = c
-        rows.append(row)
-    return rows
-
-
-def _composable_after(elements: list[GroupoidElement]) -> list[list[int]]:
-    """For each position i, the positions j with elements[i].y ==
-    elements[j].x, in increasing order."""
+    closure = list(elements)
+    ids = {g: i for i, g in enumerate(closure)}
     by_x: dict[Filter, list[int]] = {}
-    for j, h in enumerate(elements):
-        by_x.setdefault(h.x, []).append(j)
-    return [by_x.get(g.y, []) for g in elements]
+    for i, g in enumerate(closure):
+        by_x.setdefault(g.x, []).append(i)
+    rows: list[dict[int, int]] = []
+    grown = True
+    while grown:  # a new element may extend a row already passed
+        grown = False
+        for i, g in enumerate(closure):  # sees the elements appended below
+            if i == len(rows):
+                rows.append({})
+            row = rows[i]
+            for j in by_x.get(g.y, ()):
+                if j in row:
+                    continue
+                gh = compose_elements(g, closure[j])
+                c = ids.setdefault(gh, len(closure))
+                if c == len(closure):
+                    closure.append(gh)
+                    by_x.setdefault(gh.x, []).append(c)
+                    grown = True
+                row[j] = c
+    return Fragment(spans, built, elements, closure, ids, rows)
+
+
+def enumerate_pg(graph: KGraph, bound: Degree) -> list[GroupoidElement]:
+    """The distinct span elements in sort order; an element's position is
+    its id in the fragment."""
+    return fragment(graph, bound).elements
 
 
 # -- basic sets --------------------------------------------------------------
@@ -359,38 +373,14 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
     composability, associativity, inverse and unit laws, plus span
     round-trips and certificate re-verification.
 
-    Every law is read off integer ids.  The element at position i of
-    `enumerate_pg` has id i, and row i of `composition_table` gives the
-    composite of i with each id composable after it; a composite that
-    equals no enumerated element (a fragment not closed under
-    composition) gets the next free id, local to this call, and a pair
-    the rows lack is composed here by `compose_elements`.  The inverse
-    and unit laws look up the ids of invert(g) and of g's units;
-    associativity compares the ids of (gh)k and g(hk) for each triple
-    (g, h, k).  Triples run in enumeration order, so counterexamples
-    come out in that order."""
-    elements = enumerate_pg(graph, bound)
-    rows = composition_table(graph, bound)
-    n = len(rows)
-    ids = {g: i for i, g in enumerate(elements)}
-    objs = list(elements)  # a copy: the memoised enumeration must not grow
-    local: dict[int, dict[int, int]] = {}  # composites the rows lack, by first id
-
-    def id_of(g: GroupoidElement) -> int:
-        i = ids.setdefault(g, len(objs))
-        if i == len(objs):
-            objs.append(g)
-        return i
-
-    def comp(i: int, j: int) -> int:
-        c = rows[i].get(j) if i < n else None
-        if c is None:
-            row = local.setdefault(i, {})
-            c = row.get(j)
-            if c is None:
-                c = row[j] = id_of(compose_elements(objs[i], objs[j]))
-        return c
-
+    Every law is read off the fragment's ids and closed composition
+    table.  The inverse and unit laws look up the ids of invert(g) and of
+    g's units; associativity compares rows[rows[i][j]][k] with
+    rows[i][rows[j][k]].  Pairs and triples run over span-element ids in
+    increasing order, so counterexamples come out in enumeration order."""
+    frag = fragment(graph, bound)
+    elements, ids, rows = frag.elements, frag.ids, frag.rows
+    n = len(elements)
     bad: list = []
     coherence = 0
     for i, g in enumerate(elements):
@@ -403,13 +393,16 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
         if invert(gi) != g:
             bad.append(("involution", str(g)))
         r_unit, s_unit = element_structure(g)
-        r, s, ii = id_of(r_unit), id_of(s_unit), id_of(gi)
-        if comp(i, ii) != r:
-            bad.append(("g.g^-1", str(g)))
-        if comp(ii, i) != s:
-            bad.append(("g^-1.g", str(g)))
-        if comp(r, i) != i or comp(i, s) != i:
-            bad.append(("unit law", str(g)))
+        r, s, ii = ids.get(r_unit), ids.get(s_unit), ids.get(gi)
+        if None in (r, s, ii):
+            bad.append(("inverse or unit outside the fragment", str(g)))
+        else:
+            if rows[i][ii] != r:
+                bad.append(("g.g^-1", str(g)))
+            if rows[ii][i] != s:
+                bad.append(("g^-1.g", str(g)))
+            if rows[r][i] != i or rows[i][s] != i:
+                bad.append(("unit law", str(g)))
         # coherence (g.y == h.x iff s(g) == r(h)) holds for every pair once
         # each element's range and source units sit at g.x and g.y
         if not (r_unit.is_unit() and s_unit.is_unit() and r_unit.x == g.x and s_unit.x == g.y):
@@ -418,15 +411,17 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
     if coherence:
         bad.append(("coherence", coherence))
 
-    after = _composable_after(elements)
     pairs = assoc_checked = 0
     for i, g in enumerate(elements):
-        for j in after[i]:
+        for j, ij in rows[i].items():
+            if j >= n:
+                break
             pairs += 1
-            ij = comp(i, j)
-            for k in after[j]:
+            for k, jk in rows[j].items():
+                if k >= n:
+                    break
                 assoc_checked += 1
-                if comp(ij, k) != comp(i, comp(j, k)):
+                if rows[ij][k] != rows[i][jk]:
                     bad.append(("associativity", str(g), str(elements[j]), str(elements[k])))
     return {
         "ok": not bad,

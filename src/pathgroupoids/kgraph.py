@@ -31,14 +31,21 @@ class KGraphError(ValueError):
 
 
 class PresentationError(KGraphError):
-    def __init__(self, message: str, witness: object = None, line: int | None = None):
-        self.witness = witness
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        if witness is not None:
-            message = f"{message} (witness: {witness})"
+    """`line` is the document line at fault; `at` names the edge or square
+    at fault when a graph is built, for `load_presentation` to find its
+    line."""
+
+    def __init__(self, message: str, witness: object = None, line: int | None = None, at=None):
         super().__init__(message)
+        self.witness, self.line, self.at = witness, line, at
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        if self.line is not None:
+            message = f"line {self.line}: {message}"
+        if self.witness is not None:
+            message = f"{message} (witness: {self.witness})"
+        return message
 
 
 class ComposabilityError(KGraphError):
@@ -251,7 +258,6 @@ class KGraph:
         edges: Iterable[Edge],
         squares: Iterable[tuple[tuple[Name, Name], tuple[Name, Name]]] = (),
         families: Iterable[EdgeFamily] = (),
-        annotations=None,
         window: Callable[[Morphism], bool] | None = None,
         expect_complete: bool = True,
     ):
@@ -261,10 +267,10 @@ class KGraph:
         self.edges: dict[Name, Edge] = {}
         for e in edges:
             if e.name in self.edges:
-                raise PresentationError(f"duplicate edge name {e.name}")
+                raise PresentationError(f"duplicate edge name {e.name}", at=e.name)
             self.edges[e.name] = e
         self.families: list[EdgeFamily] = list(families)
-        self.annotations = annotations
+        self.annotations = None
         self.window = window
         self.expect_complete = expect_complete
 
@@ -288,51 +294,56 @@ class KGraph:
     def _word_colors(self, word: tuple[Name, Name]) -> tuple[int, int]:
         return (self.edges[word[0]].color, self.edges[word[1]].color)
 
-    def _check_composable_word(self, word: tuple[Name, ...]) -> None:
+    def _check_composable_word(self, word: tuple[Name, ...], at=None) -> None:
         for a, b in zip(word, word[1:]):
             if self.edges[a].source != self.edges[b].range:
                 raise PresentationError(
-                    f"word {'.'.join(map(str, word))} is not composable at {a}|{b}"
+                    f"word {'.'.join(map(str, word))} is not composable at {a}|{b}", at=at
                 )
 
     def _add_square(self, side_a: tuple[Name, Name], side_b: tuple[Name, Name]) -> None:
-        for side in (side_a, side_b):
+        square = (side_a, side_b)
+        for side in square:
             for n in side:
                 if n not in self.edges:
-                    raise PresentationError(f"square references unknown edge {n}")
-            self._check_composable_word(side)
+                    raise PresentationError(f"square references unknown edge {n}", at=square)
+            self._check_composable_word(side, at=square)
         ca, cb = self._word_colors(side_a), self._word_colors(side_b)
         if {ca, cb} != {(1, 2), (2, 1)}:
             raise PresentationError(
-                "square sides must have complementary color orders",
-                witness=(side_a, side_b),
+                "square sides must have complementary color orders", witness=square, at=square
             )
         desc, asc = (side_a, side_b) if ca == (2, 1) else (side_b, side_a)
         d_end = (self.edges[desc[0]].range, self.edges[desc[1]].source)
         a_end = (self.edges[asc[0]].range, self.edges[asc[1]].source)
         if d_end != a_end:
             raise PresentationError(
-                "square sides do not share range and source", witness=(desc, asc)
+                "square sides do not share range and source", witness=(desc, asc), at=square
             )
         if desc in self.squares or asc in self._asc_to_desc:
             raise PresentationError(
                 "factorisation property violated: bicolored path in two squares",
                 witness=desc if desc in self.squares else asc,
+                at=square,
             )
         self.squares[desc] = asc
         self._asc_to_desc[asc] = desc
 
     def validate(self) -> None:
         if self.rank > 2:
-            raise PresentationError("presentations are limited to rank <= 2")
+            at = max(self.edges, key=lambda n: self.edges[n].color, default=None)
+            raise PresentationError("presentations are limited to rank <= 2", at=at)
         for e in self.edges.values():
             if not 1 <= e.color <= self.rank:
-                raise PresentationError(f"edge {e.name} has bad color {e.color}")
+                raise PresentationError(f"edge {e.name} has bad color {e.color}", at=e.name)
             for v in (e.source, e.range):
                 if v not in self._vertex_set():
-                    raise PresentationError(f"edge {e.name} references unknown vertex {v}")
-        if self._vertex_set() & set(self.edges):
-            raise PresentationError("vertex and edge names must be disjoint")
+                    raise PresentationError(
+                        f"edge {e.name} references unknown vertex {v}", at=e.name
+                    )
+        clash = self._vertex_set() & set(self.edges)
+        if clash:
+            raise PresentationError("vertex and edge names must be disjoint", at=min(clash))
         if self.rank == 2 and self.expect_complete:
             self._check_square_completeness()
 
@@ -350,6 +361,7 @@ class KGraph:
                     raise PresentationError(
                         "factorisation property violated: bicolored path not in any square",
                         witness=word,
+                        at=a.name,
                     )
 
     # -- basic morphisms ------------------------------------------------
@@ -668,6 +680,9 @@ def load_presentation(text: str, name: str = "user", cutoff: int = 3) -> KGraph:
     ``name color source -> range`` where ``name[n]`` declares an
     N-indexed family materialised up to `cutoff`; square lines read
     ``a.b = c.d`` with family index variables unifying across the sides.
+    Every PresentationError names the line at fault: for an error of
+    the graph built from the document, the line declaring the edge or
+    square at fault (its last declaration, for a duplicate).
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -676,6 +691,7 @@ def load_presentation(text: str, name: str = "user", cutoff: int = 3) -> KGraph:
     families: list[EdgeFamily] = []
     family_vars: dict[str, list[str]] = {}
     square_lines: list[tuple[int, str]] = []
+    lines: dict = {}  # edge name or square -> the line that declares it last
     section = None
     max_color = 1
 
@@ -709,6 +725,7 @@ def load_presentation(text: str, name: str = "user", cutoff: int = 3) -> KGraph:
             base, idx_vars = _split_family_name(m.group("name"), lineno)
             if idx_vars is None:
                 edges.append(Edge(_name_at(m.group("name"), lineno), color, src, rng))
+                lines[edges[-1].name] = lineno
             else:
                 if base in family_vars:
                     raise PresentationError(f"duplicate family {base}", line=lineno)
@@ -724,13 +741,21 @@ def load_presentation(text: str, name: str = "user", cutoff: int = 3) -> KGraph:
                     edges.append(
                         Edge(Name(base, assignment), color, src, rng)
                     )
+                    lines[edges[-1].name] = lineno
         elif section == "squares":
             square_lines.append((lineno, line))
         else:
             raise PresentationError(f"content outside any section: {line!r}", line=lineno)
 
     squares = _expand_square_lines(square_lines, family_vars, cutoff)
-    return KGraph(name, max(max_color, 1), vertices, edges, squares, families=families)
+    lines.update((square, lineno) for lineno, square in squares)
+    try:
+        return KGraph(
+            name, max(max_color, 1), vertices, edges, [sq for _, sq in squares], families=families
+        )
+    except PresentationError as exc:
+        exc.line = lines.get(exc.at)
+        raise
 
 
 def _split_family_name(text: str, lineno: int) -> tuple[str, list[str] | None]:
@@ -751,7 +776,8 @@ def _expand_square_lines(
     square_lines: list[tuple[int, str]],
     family_vars: dict[str, list[str]],
     cutoff: int,
-) -> list[tuple[tuple[Name, Name], tuple[Name, Name]]]:
+) -> list[tuple[int, tuple[tuple[Name, Name], tuple[Name, Name]]]]:
+    """(line, square) for every square the square lines declare."""
     squares = []
     for lineno, line in square_lines:
         if "=" not in line:
@@ -774,7 +800,7 @@ def _expand_square_lines(
             for base, idx in factors:
                 index = tuple(env[v] for v in idx) if idx else ()
                 sides.append(Name(base, index))
-            squares.append(((sides[0], sides[1]), (sides[2], sides[3])))
+            squares.append((lineno, ((sides[0], sides[1]), (sides[2], sides[3]))))
     return squares
 
 

@@ -34,13 +34,9 @@ from .groupoid import (
     GroupoidElement,
     basic_set_membership,
     BasicGroupoidSet,
-    compose_elements,
-    composition_table,
-    enumerate_pg,
+    fragment,
     invert,
     make_element,
-    span_elements,
-    spans,
 )
 
 
@@ -245,8 +241,8 @@ def phi(t: SpielbergTriple) -> GroupoidElement:
 def enumerate_triples(graph: KGraph, bound: Degree) -> list[SpielbergTriple]:
     """One triple per path-groupoid span, in span order, so the two sides
     of the isomorphism see the same fragment: phi of the k-th triple is
-    the k-th of `groupoid.span_elements`."""
-    return [SpielbergTriple(alpha, beta, x) for alpha, beta, x in spans(graph, bound)]
+    the fragment's k-th built element."""
+    return [SpielbergTriple(alpha, beta, x) for alpha, beta, x in fragment(graph, bound).spans]
 
 
 def iso_check(graph: KGraph, bound: Degree) -> dict:
@@ -256,16 +252,16 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     basic sets onto basic sets.
 
     The triples are the path-groupoid spans, so phi of the k-th triple is
-    the k-th of `groupoid.span_elements`, which `enumerate_pg` has built.
-    Composition is compared entrywise over composable class pairs: the
-    triple side composes by witness search and maps through phi; the
-    element side reads the composite from the rows of
-    `groupoid.composition_table`, shared with `axiom_suite`, and composes
-    by certificate arithmetic only where a row has no entry.
+    the k-th element the fragment built.  Composition is compared
+    entrywise over composable class pairs: the triple side composes by
+    witness search and maps through phi; the element side reads the
+    composite from the fragment's closed composition table, shared with
+    `axiom_suite`.
     """
     require_fa_certificate(graph)
+    frag = fragment(graph, bound)
     triples = enumerate_triples(graph, bound)
-    built = span_elements(graph, bound)
+    built = frag.built
     classes: dict[tuple, list[int]] = {}  # canonical key -> triple positions
     canon: list[SpielbergTriple] = []  # canonical_triple of each class's first member
     for k, t in enumerate(triples):
@@ -297,7 +293,7 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
         bad.append(("not injective",))
 
     # surjective onto the enumerated path groupoid
-    elements = enumerate_pg(graph, bound)
+    elements = frag.elements
     missing = set(elements) - set(images.values())
     if missing:
         bad.append(("not surjective", len(missing)))
@@ -305,8 +301,7 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     report["bijection_count_match"] = len(classes) == len(elements)
 
     # composition and inversion, entrywise over composable class pairs
-    ids = {g: i for i, g in enumerate(elements)}
-    rows = composition_table(graph, bound)
+    ids, rows = frag.ids, frag.rows
     phi_of = {t: phi(t) for t in canon}
     middles: dict[Filter, list[SpielbergTriple]] = {}
     for t in canon:
@@ -318,10 +313,8 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     for t1, t2 in pairs:
         comp_checked += 1
         lhs = phi(sp_compose(t1, t2))
-        g1, g2 = phi_of[t1], phi_of[t2]
-        i = ids.get(g1)
-        c = None if i is None else rows[i].get(ids.get(g2))
-        rhs = compose_elements(g1, g2) if c is None else elements[c]
+        i, j = ids.get(phi_of[t1]), ids.get(phi_of[t2])
+        rhs = None if i is None or j is None else frag.closure[rows[i][j]]
         if lhs != rhs:
             bad.append(("composition", str(t1), str(t2)))
     for t in canon:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from pathgroupoids import action as ac
@@ -63,7 +61,7 @@ def test_act_outside_path_space_is_refused(tg):
         ac.act(down_lambda, Degree((1, 0)))
 
 
-def test_act_propagates_unknown_verdicts():
+def test_act_refuses_unknown_verdicts():
     doc = """
 vertices: t u v w
 edges:
@@ -76,9 +74,9 @@ squares:
 """
     g = load_presentation(doc, cutoff=2)  # no annotations: verdicts unknown
     x = ps.principal(g.morphism("mu.beta[1]"))
-    res = ac.act_flagged(x, Degree((1, 0)))
-    assert res.ps_verdict is Verdict.UNKNOWN_AT_BOUND
-    assert {str(m) for m in res.filter.elements} == {"w", "alpha[1]"}
+    assert ps.ps_membership(x)[0] is Verdict.UNKNOWN_AT_BOUND
+    with pytest.raises(ac.NotInPathSpaceError, match="not a certified path-space point"):
+        ac.act(x, Degree((1, 0)))
 
 
 def test_domain_membership_examples(tg):
@@ -100,12 +98,6 @@ def test_directed_witness_examples(tg):
     assert l3 == Degree((0, 1)) and str(w3) == "mu"
 
 
-def test_action_values_are_frozen(tg):
-    value = ac.act_flagged(ps.principal(tg.morphism("mu.beta[1]")), Degree((1, 0)))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        value.filter = None
-
-
 # -- the per-graph memo -------------------------------------------------------
 
 
@@ -122,7 +114,7 @@ def _action_calls(graph, bound):
             yield ac.shift_on, ac.shift_on, (lam, x)
         for m in degrees:
             yield ac.degree_witness, ac.degree_witness, (x, m)
-            yield ac.act_flagged, ac.act_flagged, (x, m)
+            yield ac.act, ac.act, (x, m)
             for n in degrees:
                 yield ac.directed_witness, ac.directed_witness, (x, m, n)
 

@@ -10,7 +10,8 @@ and names the changed keys in CHANGES.md.  The matrix holds the fast
 runs only; ``paths`` on grid, yee and tg-infinity take over a second
 each and are left out.  Besides the catalog graphs and two malformed
 documents, it runs ``groupoid --spielberg`` on two generated
-presentations (``test_oracles.gen_document``).
+presentations (``test_oracles.gen_document``) and on grid at bound
+(1, 1), and ``validate`` on a file that does not exist.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ def _matrix() -> list[list[str]]:
             out.append([*argv, "--format", "text"])
     for name in GEN_DOCS:
         out.append(["groupoid", "--graph", name, "--spielberg", "--format", "json"])
+    # a fragment whose span elements are not closed under composition
+    out.append(["groupoid", "--graph", "grid", "--bound", "1,1", "--spielberg", "--format", "json"])
+    # a --graph that is neither a catalog name nor a readable file
+    out.append(["validate", "--graph", "missing.kg", "--format", "json"])
     return out
 
 

@@ -2,8 +2,10 @@ import pytest
 
 from pathgroupoids import groupoid as gp
 from pathgroupoids import pspace as ps
+from pathgroupoids import spielberg as sp
 from pathgroupoids.catalog import grid, lambda_tg, squares_graph
 from pathgroupoids.degree import Degree
+from test_oracles import gen_product
 
 B22 = Degree((2, 2))
 
@@ -149,28 +151,28 @@ def test_axiom_suite_reports_a_wrong_composite(monkeypatch):
     """One wrong cell of the composition table shows up as an
     associativity counterexample.  On finite filters q = d(x) - d(y), so a
     valid element with the composite's endpoints is the composite itself;
-    the wrong cell keeps the endpoints, shifts q, and composes onward
-    without a certificate.  The table is memoised per graph, so the clean
-    run and the patched run each get a fresh graph, and the patched
-    `compose_elements` builds the second graph's table."""
+    the wrong cell keeps the endpoints and shifts q, and so does every
+    composite with a wrong factor, which keeps the closure finite.  The
+    fragment is memoised per graph, so the clean run and the patched run
+    each get a fresh graph, and the patched `compose_elements` builds the
+    second graph's fragment; the pair is found by name on the first."""
     clean = gp.axiom_suite(lambda_tg(2), B22)
-    tg = lambda_tg(2)
-    elements = gp.enumerate_pg(tg, B22)
+    a, b = map(str, _non_unit_pair(gp.enumerate_pg(lambda_tg(2), B22)))
     real = gp.compose_elements
-    a, b = _non_unit_pair(elements)
-    ab = real(a, b)
-    wrong = gp.GroupoidElement(ab.x, tuple(c + 1 for c in ab.q), ab.y, ab.cert)
+    genuine: dict = {}  # wrong element -> the composite it shifts
 
     def compose(g, h):
-        if g is a and h is b:
-            return wrong
-        if g is wrong or h is wrong:
-            q = tuple(x + y for x, y in zip(g.q, h.q))
-            return gp.GroupoidElement(g.x, q, h.y, g.cert)
-        return real(g, h)
+        g0, h0 = genuine.get(g, g), genuine.get(h, h)
+        gh = real(g0, h0)
+        if g is g0 and h is h0 and (str(g), str(h)) != (a, b):
+            return gh
+        wrong = gp.GroupoidElement(gh.x, tuple(c + 1 for c in gh.q), gh.y, gh.cert)
+        genuine[wrong] = gh
+        return wrong
 
     monkeypatch.setattr(gp, "compose_elements", compose)
-    rep = gp.axiom_suite(tg, B22)
+    rep = gp.axiom_suite(lambda_tg(2), B22)
+    assert genuine
     assert not rep["ok"]
     assert rep["counterexamples"][0].startswith(f"('associativity', '{a}', '{b}', ")
     assert all(c.startswith("('associativity', ") for c in rep["counterexamples"])
@@ -178,34 +180,34 @@ def test_axiom_suite_reports_a_wrong_composite(monkeypatch):
         assert rep[key] == clean[key]
 
 
-def test_axiom_suite_composite_outside_the_enumeration(monkeypatch):
-    """A fragment not closed under composition: composites equal to the
-    dropped element get ids of their own, and the laws still hold.  A
-    fresh graph, so that its composition table is built from the patched
-    enumeration."""
-    tg = lambda_tg(2)
-    elements = gp.enumerate_pg(tg, B22)
-    drop = gp.compose_elements(*_non_unit_pair(elements))
-    kept = [e for e in elements if e != drop]
-    assert len(kept) == len(elements) - 1 and not drop.is_unit()
-    real = gp.compose_elements
-    outside = []
-
-    def compose(g, h):
-        gh = real(g, h)
-        if gh not in kept:
-            outside.append(gh)
-        return gh
-
-    monkeypatch.setattr(gp, "enumerate_pg", lambda graph, bound: kept)
-    monkeypatch.setattr(gp, "compose_elements", compose)
-    rep = gp.axiom_suite(tg, B22)
-    assert outside and drop in outside
+@pytest.mark.parametrize(
+    "name, counts",
+    [("grid", (144, 196, 676, 3364)), ("product", (280, 300, 2408, 22632))],
+)
+def test_axiom_suite_on_a_fragment_not_closed_under_composition(name, counts):
+    """Span elements need not be closed under composition: on grid(2) at
+    (1, 1), and on a seeded twisted product at (2, 2), composites fall
+    outside them.  The fragment's closure gives those composites ids of
+    their own, every composable pair of its elements has a cell, and the
+    laws hold over the span elements."""
+    graph, bound = {
+        "grid": (grid(2), Degree((1, 1))),
+        "product": (gen_product((3, 1, 1, 2), 0), B22),
+    }[name]
+    frag = gp.fragment(graph, bound)
+    assert frag.closure[: len(frag.elements)] == frag.elements
+    assert frag.ids == {g: i for i, g in enumerate(frag.closure)}
+    assert sum(len(row) for row in frag.rows) == sum(
+        g.y == h.x for g in frag.closure for h in frag.closure
+    )
+    rep = gp.axiom_suite(graph, bound)
     assert rep["ok"], rep["counterexamples"]
-    assert rep["elements"] == len(kept)
-    pairs = [(g, h) for g in kept for h in kept if g.y == h.x]
-    assert rep["composable_pairs"] == len(pairs)
-    assert rep["associativity_triples"] == sum(h.y == k.x for _, h in pairs for k in kept)
+    got = (rep["elements"], len(frag.closure), rep["composable_pairs"], rep["associativity_triples"])
+    assert got == counts
+    if name == "grid":
+        iso = sp.iso_check(graph, bound)
+        assert iso["ok"], iso["failures"]
+        assert iso["composition_pairs"] == rep["composable_pairs"]
 
 
 @pytest.mark.parametrize("maker", [lambda: lambda_tg(2), lambda: grid(2)])

@@ -1,4 +1,6 @@
 import collections
+import random
+import re
 
 import pytest
 
@@ -107,6 +109,61 @@ def test_duplicate_edge_rejected():
     doc = "vertices: a b\nedges:\n  e 1 b -> a\n  e 1 b -> a\n"
     with pytest.raises(PresentationError, match="duplicate"):
         load_presentation(doc)
+
+
+# names in a document: vertices, edges, families and section words
+_DOC_NAME = re.compile(r"[A-Za-z_]\w*(?:\[[^\]]*\])?")
+
+
+def _mutate(doc: str, rng: random.Random) -> str:
+    """One seeded edit of a document: a name replaced by another name of
+    the document, a colour replaced by a digit from 0 to 3, or a line
+    deleted, duplicated or moved."""
+    lines = doc.splitlines()
+    i = rng.randrange(len(lines))
+    kind = rng.randrange(5)
+    if kind == 0:
+        spots = list(_DOC_NAME.finditer(lines[i]))
+        if spots:
+            m = rng.choice(spots)
+            name = rng.choice(_DOC_NAME.findall(doc))
+            lines[i] = lines[i][: m.start()] + name + lines[i][m.end() :]
+    elif kind == 1:
+        lines[i] = re.sub(r"\b\d\b", str(rng.randrange(4)), lines[i], count=1)
+    elif kind == 2:
+        del lines[i]
+    elif kind == 3:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    else:
+        lines.insert(rng.randrange(len(lines)), lines.pop(i))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", ["tg", "gen_2_2_2_1_seed7", "gen_1_2_1_2_seed11"])
+def test_every_malformed_document_names_its_line(source):
+    """Seeded mutations of a valid document: whatever load_presentation
+    refuses, it refuses with a PresentationError that carries the line at
+    fault, the errors of the graph built from the document included."""
+    from test_oracles import gen_document
+
+    doc = {
+        "tg": TG_DOC,
+        "gen_2_2_2_1_seed7": gen_document((2, 2, 2, 1), 7),
+        "gen_1_2_1_2_seed11": gen_document((1, 2, 1, 2), 11),
+    }[source]
+    rng = random.Random(0)
+    kinds = collections.Counter()
+    for _ in range(400):
+        text = doc
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(text, rng)
+        try:
+            load_presentation(text, cutoff=2)
+        except PresentationError as exc:
+            assert exc.line is not None, (str(exc), text)
+            kinds[exc.at is not None] += 1
+    # both the parser and the graph's construction refuse some
+    assert kinds[True] > 50 and kinds[False] > 50, kinds
 
 
 # -- composition and factorisation -----------------------------------------

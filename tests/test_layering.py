@@ -64,26 +64,41 @@ def test_graph_caches_are_declared_in_init():
     assert readers == ["kgraph.py"]
 
 
-def test_every_filter_is_built_by_canonical_filter():
-    """A Filter is constructed only inside pspace.canonical_filter, so a
-    graph never holds two equal filters as different objects."""
+def _calls_outside(callee: str, owner: str) -> list[str]:
+    """file:line of every call to `callee` in the package that is not
+    inside a function named `owner`."""
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = {
             id(node)
             for func in ast.walk(tree)
-            if isinstance(func, ast.FunctionDef) and func.name == "canonical_filter"
+            if isinstance(func, ast.FunctionDef) and func.name == owner
             for node in ast.walk(func)
         }
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
-                and ast.unparse(node.func).split(".")[-1] == "Filter"
+                and ast.unparse(node.func).split(".")[-1] == callee
                 and id(node) not in allowed
             ):
                 found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_every_filter_is_built_by_canonical_filter():
+    """A Filter is constructed only inside pspace.canonical_filter, so a
+    graph never holds two equal filters as different objects."""
+    found = _calls_outside("Filter", "canonical_filter")
     assert not found, f"Filter built outside canonical_filter: {found}"
+
+
+def test_only_the_fragment_composes_elements():
+    """compose_elements is called only inside groupoid.fragment, so the
+    decision about a composite outside the span elements is made in one
+    place and every suite reads composites from the fragment's table."""
+    found = _calls_outside("compose_elements", "fragment")
+    assert not found, f"compose_elements called outside fragment: {found}"
 
 
 # per_graph finds the graph through the first argument's own ``graph``
@@ -117,8 +132,8 @@ def test_per_graph_keys_start_with_a_graph_object():
         if kind not in MEMO_KEY_TYPES:
             bad.append(f"{filename}:{func.lineno} {func.name}({first.arg}: {kind})")
     assert {
-        "shift_off", "act_flagged", "directed_witness", "unit", "compose", "fiber",
-        "prefixes", "_factorization", "spans", "_fa_row",
+        "shift_off", "act", "directed_witness", "unit", "compose", "fiber",
+        "prefixes", "_factorization", "fragment", "_fa_row",
     } <= set(found)
     assert not bad, f"per_graph functions keyed by a non-graph object: {bad}"
 
@@ -193,8 +208,6 @@ def test_every_exported_name_has_a_caller_in_the_package():
 # Stored data and parameters that the package does not read, each kept
 # for a reason.
 UNREAD_ALLOWED = {
-    # the honesty flag of an action value: the tests read it
-    "action.ActionValue.ps_verdict",
     # every command handler takes (args, graph, bound); validate needs no bound
     "cli.cmd_validate(bound)",
 }

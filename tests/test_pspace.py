@@ -287,14 +287,6 @@ def test_probe_finite_graphs_compact():
             assert ps.compactness_probe(m, bound).kind == "Compact"
 
 
-def test_probe_rejects_supplied_family_outside_cylinder(tg3):
-    # the beta-family filters do not contain w, so supplying them as
-    # evidence for Z(w) is an input error
-    seq = ps.DescribedSequence(tg3, _family(tg3, "beta[n]"))
-    with pytest.raises(ps.SubsetError):
-        ps.compactness_probe(tg3.unit(tg3.vertex("w")), B22, families=[seq])
-
-
 def test_probe_yee():
     y = lambda_yee(3)
     ev = ps.compactness_probe(y.morphism("lambda"), Degree((1, 1)))
