@@ -144,7 +144,7 @@ def test_every_malformed_document_names_its_line(source):
     """Seeded mutations of a valid document: whatever load_presentation
     refuses, it refuses with a PresentationError that carries the line at
     fault, the errors of the graph built from the document included."""
-    from test_oracles import gen_document
+    from test_oracles import gen_document  # test_oracles imports this module
 
     doc = {
         "tg": TG_DOC,
