@@ -154,8 +154,6 @@ def is_fa(m: Morphism) -> Verdict:
     ann = graph.annotations
     if ann is None:
         return Verdict.UNKNOWN_AT_BOUND
-    if ann.fa_certified_all:
-        return Verdict.TRUE
     return Verdict.FALSE if ann.fa_excluded(m) else Verdict.TRUE
 
 
@@ -182,7 +180,7 @@ def fa_at(lam: Morphism, bound: Degree) -> FaVerdict:
         return FaVerdict(Verdict.TRUE, record={"mode": "exhaustive", "pairs": pairs})
 
     ann = graph.annotations
-    if ann is not None and not ann.fa_certified_all and ann.fa_excluded(lam):
+    if ann is not None and ann.fa_excluded(lam):
         witness = ann.fa_false_witness(lam)
         if witness is None:
             raise AnnotationError(f"no witness pair declared for {lam}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .kgraph import Edge, EdgeFamily, KGraph, Morphism, Name, Var, VertexPattern
+from .kgraph import Edge, EdgeFamily, KGraph, Morphism, Name
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,10 @@ class MorphismFamily:
 class CatalogAnnotations:
     """Declared ground truth for an infinite catalog graph.  The escape
     family of lambda outside FA is derived from it, as
-    ``declared_mce(*fa_false_witness(lambda))``."""
+    ``declared_mce(*fa_false_witness(lambda))``.  `fa_certified_all` is
+    the FA(Lambda) = Lambda certificate the Spielberg operations require;
+    a graph that sets it excludes nothing through `fa_excluded`."""
 
-    graph_name: str
     fa_excluded: Callable[[Morphism], bool]
     fa_certified_all: bool = False
     declared_mce: Callable[[Morphism, Morphism], Optional[MorphismFamily]] = lambda a, b: None
@@ -77,8 +78,8 @@ def lambda_tg(cutoff: int = 3) -> KGraph:
         edges.append(Edge(Name("alpha", (n,)), 2, u, w))
         squares.append(((Name("mu"), Name("beta", (n,))), (Name("lambda"), Name("alpha", (n,)))))
     families = [
-        EdgeFamily("beta", 1, 1, VertexPattern("t")),
-        EdgeFamily("alpha", 2, 1, VertexPattern("w")),
+        EdgeFamily("beta", 1, 1, "t"),
+        EdgeFamily("alpha", 2, 1, "w"),
     ]
     g = KGraph("tg", 2, [t, u, v, w], edges, squares, families=families)
 
@@ -110,7 +111,6 @@ def lambda_tg(cutoff: int = 3) -> KGraph:
         infinite_pair,
     ]
     g.annotations = CatalogAnnotations(
-        graph_name="tg",
         fa_excluded=lambda m: m in excluded,
         declared_mce=declared_mce,
         fa_false_witness=witness,
@@ -157,10 +157,10 @@ def lambda_tg_infinity(blocks: int = 2, cutoff: int = 3) -> KGraph:
                 )
             )
     families = [
-        EdgeFamily("lambda", 1, 1, VertexPattern("v", (Var(0),))),
-        EdgeFamily("mu", 2, 1, VertexPattern("v", (Var(0),))),
-        EdgeFamily("beta", 1, 2, VertexPattern("t", (Var(0),))),
-        EdgeFamily("alpha", 2, 2, VertexPattern("w", (Var(0),))),
+        EdgeFamily("lambda", 1, 1, "v", 1),
+        EdgeFamily("mu", 2, 1, "v", 1),
+        EdgeFamily("beta", 1, 2, "t", 1),
+        EdgeFamily("alpha", 2, 2, "w", 1),
     ]
 
     def window(m: Morphism) -> bool:
@@ -230,7 +230,6 @@ def lambda_tg_infinity(blocks: int = 2, cutoff: int = 3) -> KGraph:
         return None
 
     g.annotations = CatalogAnnotations(
-        graph_name="tg-infinity",
         fa_excluded=lambda m: True,
         declared_mce=declared_mce,
         fa_false_witness=witness,
@@ -271,9 +270,9 @@ def lambda_yee(cutoff: int = 3) -> KGraph:
                 )
             )
     families = [
-        EdgeFamily("mu", 2, 1, VertexPattern("v")),
-        EdgeFamily("beta", 1, 2, VertexPattern("t", (Var(0),))),
-        EdgeFamily("alpha", 2, 2, VertexPattern("w")),
+        EdgeFamily("mu", 2, 1, "v"),
+        EdgeFamily("beta", 1, 2, "t", 1),
+        EdgeFamily("alpha", 2, 2, "w"),
     ]
     g = KGraph("yee", 2, vertices, edges, squares, families=families)
 
@@ -322,7 +321,6 @@ def lambda_yee(cutoff: int = 3) -> KGraph:
     filter_families.append(MorphismFamily("lambda.alpha[i,1]", indices, lambda i: lam_alpha(i, 1)))
 
     g.annotations = CatalogAnnotations(
-        graph_name="yee",
         fa_excluded=excluded,
         declared_mce=declared_mce,
         fa_false_witness=witness,
@@ -404,7 +402,6 @@ def cycle(size: int = 3, depth: int = 6) -> KGraph:
         return Morphism(g, Name("c", (i,)), word)
 
     g.annotations = CatalogAnnotations(
-        graph_name="cycle",
         fa_excluded=lambda m: False,
         fa_certified_all=True,
         filter_families=[

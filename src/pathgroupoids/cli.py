@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", default=None, help="degree bound, e.g. 2,2")
         p.add_argument("--cutoff", type=int, default=3, help="family index cutoff")
         p.add_argument("--blocks", type=int, default=2, help="blocks for tg-infinity")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
+        p.add_argument("--seed", type=int, default=0, help="offset of the sampled groupoid suites")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if name == "align":
             p.add_argument("--element", help="morphism name, e.g. lambda or mu.beta[1]")
@@ -188,7 +188,7 @@ def cmd_paths(args, graph: KGraph, bound: Degree) -> tuple[dict, int]:
         "boundary_path_space": _filters_json(bps.filters),
         "boundary_exact": bps.exact,
         "declared_families": families,
-        "basis_property": _plain(ps.check_basis_property(graph, bound, seed=args.seed)),
+        "basis_property": _plain(ps.check_basis_property(graph, bound)),
         "ps_open": _plain(ps.check_ps_open(graph, bound)),
         "ps_characterisations": _plain(ps.check_ps_characterisations_agree(graph, bound)),
         "convergence": _plain(ps.check_convergence_decisions(graph, bound)),

@@ -21,7 +21,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .degree import Degree
 
@@ -33,7 +33,8 @@ class KGraphError(ValueError):
 class PresentationError(KGraphError):
     """`line` is the document line at fault; `at` names the edge or square
     at fault when a graph is built, for `load_presentation` to find its
-    line."""
+    line.  `witness` is a word of edge names or a pair of words, printed
+    as the document writes them: ``e.f``, ``e.f = g.h``."""
 
     def __init__(self, message: str, witness: object = None, line: int | None = None, at=None):
         super().__init__(message)
@@ -44,8 +45,14 @@ class PresentationError(KGraphError):
         if self.line is not None:
             message = f"line {self.line}: {message}"
         if self.witness is not None:
-            message = f"{message} (witness: {self.witness})"
+            message = f"{message} (witness: {_spelled(self.witness)})"
         return message
+
+
+def _spelled(witness: tuple) -> str:
+    if all(isinstance(n, Name) for n in witness):
+        return ".".join(map(str, witness))
+    return " = ".join(map(_spelled, witness))
 
 
 class ComposabilityError(KGraphError):
@@ -101,58 +108,27 @@ class Edge:
     range: Name
 
 
-# Index expressions inside family vertex patterns: a fixed integer or a
-# family index variable.
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    position: int
-
-
-@dataclass(frozen=True)
-class VertexPattern:
-    base: str
-    exprs: tuple[object, ...] = ()
-
-    def match(self, vertex: Name) -> Optional[dict[int, int]]:
-        """Solve exprs == vertex.index; returns the partial variable
-        assignment, or None if the vertex cannot match."""
-        if vertex.base != self.base or len(vertex.index) != len(self.exprs):
-            return None
-        assignment: dict[int, int] = {}
-        for e, value in zip(self.exprs, vertex.index):
-            if isinstance(e, Const):
-                if e.value != value:
-                    return None
-            else:
-                if value < 1 or assignment.get(e.position, value) != value:
-                    return None
-                assignment[e.position] = value
-        return assignment
-
-
 @dataclass(frozen=True)
 class EdgeFamily:
     """An N^arity-indexed edge family, materialised up to a cutoff.
 
     The family is the declaration that the graph continues past the
-    cutoff: a fiber meeting it with a free index variable is infinite.
+    cutoff.  Its edges end at vertices `range_base` whose `range_arity`
+    indices fix the family's first indices; a fiber at such a vertex
+    meets it with a free index, and is infinite, when range_arity <
+    arity.
     """
 
     base: str
     color: int
     arity: int
-    range_pattern: VertexPattern
+    range_base: str
+    range_arity: int = 0
 
     def contributes_infinitely(self, vertex: Name) -> bool:
-        assignment = self.range_pattern.match(vertex)
-        if assignment is None:
-            return False
-        return len(assignment) < self.arity
+        return (
+            vertex.base == self.range_base and len(vertex.index) == self.range_arity < self.arity
+        )
 
 
 class Morphism:
@@ -730,12 +706,7 @@ def load_presentation(text: str, name: str = "user", cutoff: int = 3) -> KGraph:
                 if base in family_vars:
                     raise PresentationError(f"duplicate family {base}", line=lineno)
                 family_vars[base] = idx_vars
-                fam = EdgeFamily(
-                    base,
-                    color,
-                    len(idx_vars),
-                    VertexPattern(rng.base, tuple(Const(i) for i in rng.index)),
-                )
+                fam = EdgeFamily(base, color, len(idx_vars), rng.base, len(rng.index))
                 families.append(fam)
                 for assignment in itertools.product(range(1, cutoff + 1), repeat=fam.arity):
                     edges.append(

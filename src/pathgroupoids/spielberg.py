@@ -373,7 +373,7 @@ def relative_filter_space(graph: KGraph, bound: Degree) -> dict:
     it and reads its annotations.
     """
     ann = graph.annotations
-    if ann is None or ann.graph_name != "tg":
+    if ann is None or graph.name != "tg":
         raise UnsupportedDomainError("the relative filter-space diagnostic runs on tg only")
     in_far = far_predicate(graph, bound)
     morphs = graph.enumerate_morphisms(bound).morphisms

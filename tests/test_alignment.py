@@ -152,7 +152,7 @@ def nested_fa_at(lam, bound):
     ann = graph.annotations
     if graph.is_finite:
         bound = al._max_degree(graph)
-    elif ann is not None and not ann.fa_certified_all and ann.fa_excluded(lam):
+    elif ann is not None and ann.fa_excluded(lam):
         return al.fa_at(lam, bound)
     candidates = [n for n in graph.enumerate_morphisms(bound).morphisms if n.range == lam.range]
     pairs = unknown = 0

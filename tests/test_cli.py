@@ -11,6 +11,7 @@ from pathgroupoids import cli, groupoid
 from pathgroupoids.catalog import catalog_names
 from pathgroupoids.cli import build_parser, main
 from pathgroupoids.schema import ELEMENT_SCHEMA, REPORT_SCHEMA, VERDICT_SCHEMA
+from test_kgraph import TG_DOC, _mutate
 from test_oracles import gen_document
 
 BAD_SQUARES = """
@@ -157,6 +158,16 @@ def test_paths_report(capsys):
     assert sorted(res["probe"]["limit"]) == ["lambda", "mu", "v"]
     assert len(res["filters"]) == 12
     assert ["beta[1]", "t"] in res["filters"]
+
+
+def test_paths_report_does_not_depend_on_the_seed(capsys):
+    reports = []
+    for seed in ("0", "5"):
+        argv = ["paths", "--graph", "tg", "--bound", "1,1", "--seed", seed, "--format", "json"]
+        assert main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [r["config"].pop("seed") for r in reports] == [0, 5]
+    assert reports[0] == reports[1]
 
 
 def test_paths_cycle_principal_only(capsys):
@@ -389,3 +400,36 @@ def test_reports_do_not_depend_on_names_or_colour_order(tmp_path, capsys):
         ):
             assert code2 == code, (name, command)
             assert _shape(results2, flip) == _shape(results), (name, command)
+
+
+# -- mutated documents ------------------------------------------------------
+
+
+@pytest.mark.parametrize("source", ["tg", "gen_1_2_1_1_seed7", "gen_1_1_2_2_seed11"])
+def test_commands_on_mutated_documents_that_load(source, tmp_path, capsys):
+    """Seeded mutations of a valid document that still load: every
+    command ends with exit code 0, 1 or 2, and no exception escapes
+    main."""
+    doc = {
+        "tg": TG_DOC,
+        "gen_1_2_1_1_seed7": gen_document((1, 2, 1, 1), 7),
+        "gen_1_1_2_2_seed11": gen_document((1, 1, 2, 2), 11),
+    }[source]
+    rng = random.Random(0)
+    loaded = 0
+    for _ in range(400):
+        text = doc
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(text, rng)
+        path = tmp_path / f"mutant{loaded}.kg"
+        path.write_text(text, encoding="utf-8")
+        if main(["validate", "--graph", str(path), "--cutoff", "2"]) != 0:
+            continue
+        for command, *options in METAMORPHIC_COMMANDS:
+            argv = [command, "--graph", str(path), *options, "--bound", "1,1", "--cutoff", "2"]
+            assert main(argv) in (0, 1, 2), (argv, text)
+        loaded += 1
+        if loaded == 10:
+            break
+    capsys.readouterr()
+    assert loaded == 10

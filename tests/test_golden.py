@@ -8,7 +8,7 @@ deliberate report change regenerates it, from the root of a checkout:
 
 and names the changed keys in CHANGES.md.  The matrix holds the fast
 runs only; ``paths`` on grid, yee and tg-infinity take over a second
-each and are left out.  Besides the catalog graphs and two malformed
+each and are left out.  Besides the catalog graphs and three malformed
 documents, it runs ``groupoid --spielberg`` on two generated
 presentations (``test_oracles.gen_document``) and on grid at bound
 (1, 1), and ``validate`` on a file that does not exist.
@@ -38,6 +38,7 @@ GOLDEN = Path(__file__).with_name("golden.json")
 BAD_DOCS = {
     "bad_family_index.kg": "vertices: a b\nedges:\n  e[n] 1 a -> b[n]\n",
     "bad_vertex_index.kg": "vertices: a[x] b\n",
+    "bad_squares.kg": "vertices: a b c d\nedges:\n  e 1 b -> a\n  f 2 c -> b\n",
 }
 # Generated presentations: seeded twisted products of two lines.
 GEN_DOCS = {

@@ -61,9 +61,8 @@ def test_invert_examples(tg, u_filter):
     gi = gp.invert(g)
     assert gi.q == (-1, 1) and gi.x == g.y and gi.y == g.x
     assert gp.invert(gi) == g
-    r, s = gp.element_structure(g)
-    assert r == gp.unit_element(g.x) and s == gp.unit_element(g.y)
-    assert gp.element_structure(r)[0] == r
+    r = gp.unit_element(g.x)
+    assert r.is_unit() and gp.unit_element(r.x) == r
 
 
 def test_span_roundtrip(tg, u_filter):

@@ -95,8 +95,27 @@ edges:
   f 2 c -> b
 """
     # e.f is a composable bicolored path with no square
-    with pytest.raises(PresentationError, match="factorisation property violated"):
+    with pytest.raises(PresentationError, match="factorisation property violated") as exc:
         load_presentation(doc)
+    assert str(exc.value).endswith("bicolored path not in any square (witness: e.f)")
+
+
+def test_square_witness_is_spelled_as_in_the_document():
+    doc = """
+vertices: a b c x y
+edges:
+  e 1 b -> a
+  f 2 c -> b
+  h 2 x -> a
+  k 1 y -> x
+squares:
+  h.k = e.f
+"""
+    with pytest.raises(PresentationError) as exc:
+        load_presentation(doc)
+    assert str(exc.value) == (
+        "line 9: square sides do not share range and source (witness: h.k = e.f)"
+    )
 
 
 def test_dangling_vertex_rejected():

@@ -34,6 +34,22 @@ def test_no_function_level_relative_imports():
     assert not found, f"function-level relative imports: {found}"
 
 
+def test_no_module_imports_random():
+    """Every report depends only on the command line and its input file."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "random" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"imports of random: {found}"
+
+
 def test_graph_caches_are_declared_in_init():
     """The graph's only cache is the memo table that KGraph.__init__
     declares: the paths, groupoid and Spielberg suites change no other

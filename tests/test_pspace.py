@@ -338,6 +338,29 @@ def test_basis_property(tg):
     assert ps.check_basis_property(grid(1), Degree((1, 1)))["ok"]
 
 
+@pytest.mark.parametrize(
+    "make, top, dropped",
+    [
+        (lambda: lambda_tg(2), "lambda.alpha[2]", "mu"),
+        (lambda: grid(2), "h[1,1].k[2,1]", "k[1,1]"),
+    ],
+)
+def test_basis_property_catches_a_non_hereditary_filter(make, top, dropped, monkeypatch):
+    """A principal filter with one prefix taken out, added to the
+    enumeration: the containment check sees it on every run."""
+    graph, bound = make(), Degree((1, 1))
+    genuine = ps.enumerate_filters(graph, bound)
+    elements = set(graph.prefixes(graph.morphism(top))) | {graph.morphism(top)}
+    corrupt = ps.Filter(graph, elements - {graph.morphism(dropped)})
+    assert not ps.is_filter(corrupt)[0]
+    monkeypatch.setattr(
+        ps,
+        "enumerate_filters",
+        lambda g, b: ps.FilterList(genuine.filters + [corrupt], genuine.exact),
+    )
+    assert not ps.check_basis_property(graph, bound)["ok"]
+
+
 def test_ps_open(tg3):
     rep = ps.check_ps_open(tg3, B22)
     assert rep["ok"] and rep["ps_size"] == 3 + 3 * 3
