@@ -33,6 +33,7 @@ from .action import act, directed_witness, shift_off, shift_on
 from .groupoid import (
     BasicGroupoidSet,
     GroupoidElement,
+    Span,
     basic_set_membership,
     compose_elements,
     enumerate_pg,
@@ -42,7 +43,6 @@ from .groupoid import (
 )
 from .spielberg import (
     EHatSet,
-    SpielbergTriple,
     UnsupportedDomainError,
     e_hat_membership,
     iso_check,
@@ -63,9 +63,9 @@ __all__ = [
     "cylinder_membership", "pointwise_limit", "ps_membership", "bps_enumerate",
     "compactness_probe",
     "shift_off", "shift_on", "act", "directed_witness",
-    "GroupoidElement", "BasicGroupoidSet", "make_element", "unit_element",
+    "GroupoidElement", "Span", "BasicGroupoidSet", "make_element", "unit_element",
     "compose_elements", "invert", "basic_set_membership", "enumerate_pg",
-    "EHatSet", "SpielbergTriple", "e_hat_membership", "triple_equiv", "sp_compose",
+    "EHatSet", "e_hat_membership", "triple_equiv", "sp_compose",
     "phi", "iso_check", "relative_filter_space", "UnsupportedDomainError",
     "catalog",
 ]

@@ -119,12 +119,7 @@ def _element_json(g: gp.GroupoidElement) -> dict:
     }
 
 
-def cmd_validate(args, graph: KGraph | None, bound) -> tuple[dict, int]:
-    if graph is None:
-        try:
-            graph = resolve_graph(args)
-        except PresentationError as exc:
-            return {"valid": False, "diagnostic": str(exc)}, 1
+def cmd_validate(args, graph: KGraph, bound) -> tuple[dict, int]:
     return (
         {
             "valid": True,
@@ -297,15 +292,17 @@ def main(argv=None) -> int:
         "groupoid": cmd_groupoid,
     }[args.command]
     try:
-        graph = None
         try:
             graph = resolve_graph(args)
-        except PresentationError:
+        except PresentationError as exc:
             if args.command != "validate":
                 raise  # validate reports this itself; others treat it as input
-        bound = resolve_bound(args, graph) if graph is not None else None
-        config["bound"] = list(bound.coords) if bound is not None else []
-        results, violations = handler(args, graph, bound)
+            config["bound"] = []
+            results, violations = {"valid": False, "diagnostic": str(exc)}, 1
+        else:
+            bound = resolve_bound(args, graph)
+            config["bound"] = list(bound.coords)
+            results, violations = handler(args, graph, bound)
     except sp.UnsupportedDomainError as exc:
         print(f"unsupported domain: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -4,7 +4,7 @@ path space, with certificate-carrying elements.
 An element is a triple (x, q, y) with q in Z^k; its certificate is a
 pair (m, n) of degrees with q = m - n, x in D_m, y in D_n and
 T(x, m) = T(y, n).  Certificates re-verify on demand, and every element
-round-trips through the span form (mu, nu, z) with x = sigma^mu z and
+round-trips through its `Span` (mu, nu, z) with x = sigma^mu z and
 y = sigma^nu z.  Element equality ignores certificates.
 
 A (graph, bound) fragment is enumerated and composed once, by
@@ -89,13 +89,31 @@ def unit_element(x: Filter) -> GroupoidElement:
     return GroupoidElement(x, zero.minus(zero), x, (zero, zero))
 
 
-def make_element(mu: Morphism, nu: Morphism, z: Filter) -> GroupoidElement:
-    """Build the element with span (mu, nu, z); rejects spans whose
-    shifted filters leave the path space."""
-    if mu.source != nu.source or mu.source != z.range:
-        raise GroupoidError(
-            f"span mismatch: s({mu}) = {mu.source}, s({nu}) = {nu.source}, r(z) = {z.range}"
-        )
+@dataclass(frozen=True)
+class Span:
+    """(mu, nu, z) with s(mu) = s(nu) = r(z): the span of the element
+    (shift_on(mu, z), d(mu) - d(nu), shift_on(nu, z)) and Spielberg's
+    triple [mu, nu, z].  Its constructor is the one endpoint check."""
+
+    mu: Morphism
+    nu: Morphism
+    z: Filter
+
+    def __post_init__(self):
+        mu, nu, z = self.mu, self.nu, self.z
+        if mu.source != nu.source or mu.source != z.range:
+            raise GroupoidError(
+                f"span mismatch: s({mu}) = {mu.source}, s({nu}) = {nu.source}, r(z) = {z.range}"
+            )
+
+    def __str__(self) -> str:
+        return f"[{self.mu}, {self.nu}, {self.z}]"
+
+
+def make_element(span: Span) -> GroupoidElement:
+    """Build the element of a span; rejects spans whose shifted filters
+    leave the path space."""
+    mu, nu, z = span.mu, span.nu, span.z
     if not in_ps(z):
         raise SpanRejectedError(f"base filter {z} is not a certified path-space point")
     x, y = shift_on(mu, z), shift_on(nu, z)
@@ -120,15 +138,15 @@ def verify_certificate(g: GroupoidElement) -> None:
         raise GroupoidError(f"T(x, {m}) != T(y, {n}) for {g}")
 
 
-def span_of(g: GroupoidElement) -> tuple[Morphism, Morphism, Filter]:
-    """Derive (mu, nu, z) from the certificate and re-verify it."""
+def span_of(g: GroupoidElement) -> Span:
+    """Derive the span (mu, nu, z) from the certificate and re-verify it."""
     m, n = g.cert
     mu = degree_witness(g.x, m)
     nu = degree_witness(g.y, n)
     z = act(g.x, m)
     if shift_on(mu, z) != g.x or shift_on(nu, z) != g.y:
         raise GroupoidError(f"span of {g} does not reproduce its sides")
-    return mu, nu, z
+    return Span(mu, nu, z)
 
 
 def invert(g: GroupoidElement) -> GroupoidElement:
@@ -160,10 +178,11 @@ class Fragment:
     """The bounded piece of the path groupoid at (graph, bound), built
     once by `fragment` and shared by every suite; nothing may mutate it.
 
-    `spans` are the spans (mu, nu, z) over the bounded enumeration whose
-    sides shift_on(mu, z) and shift_on(nu, z) stay in the enumerated path
-    space, in the order of z and then of the legs; `built[k]` is the
-    element of `spans[k]`, equal elements being one object.  `elements`,
+    `spans` are the `Span`s (mu, nu, z) over the bounded enumeration, and
+    the triples of `spielberg.iso_check`, whose sides shift_on(mu, z) and
+    shift_on(nu, z) stay in the enumerated path space, in the order of z
+    and then of the legs; `built[k]` is the element of `spans[k]`, equal
+    elements being one object.  `elements`,
     the distinct ones in `GroupoidElement.sort_key` order, have ids 0..n-1.
 
     The table is closed under composition: a composite that is no span
@@ -178,7 +197,7 @@ class Fragment:
     by `compose_elements`, which re-verifies the certificate.
     """
 
-    spans: list[tuple[Morphism, Morphism, Filter]]
+    spans: list[Span]
     built: list[GroupoidElement]
     elements: list[GroupoidElement]
     closure: list[GroupoidElement]
@@ -194,9 +213,9 @@ def fragment(graph: KGraph, bound: Degree) -> Fragment:
     spans = []
     for z in ps:
         legs = [m for m in morphs if m.source == z.range and shift_on(m, z) in known]
-        spans.extend((mu, nu, z) for mu, nu in itertools.product(legs, legs))
+        spans.extend(Span(mu, nu, z) for mu, nu in itertools.product(legs, legs))
     seen: dict[GroupoidElement, GroupoidElement] = {}
-    built = [seen.setdefault(g, g) for g in (make_element(*span) for span in spans)]
+    built = [seen.setdefault(g, g) for g in map(make_element, spans)]
     elements = sorted(seen, key=GroupoidElement.sort_key)
 
     closure = list(elements)
@@ -381,8 +400,7 @@ def axiom_suite(graph: KGraph, bound: Degree) -> dict:
     bad: list = []
     for i, g in enumerate(elements):
         verify_certificate(g)
-        mu, nu, z = span_of(g)
-        if make_element(mu, nu, z) != g:
+        if make_element(span_of(g)) != g:
             bad.append(("span-roundtrip", str(g)))
         gi = invert(g)
         verify_certificate(gi)
@@ -487,11 +505,13 @@ def refinement_check(graph: KGraph, bound: Degree, sample: int = 40) -> dict:
     basic set inside the intersection, built by extending both witness
     pairs through directedness."""
     elements = enumerate_pg(graph, bound)
+    small = graph.enumerate_morphisms(Degree((1,) * graph.rank)).morphisms
     bad, checked = [], 0
     step = max(1, len(elements) // sample)
     for g in elements[::step]:
         b1 = enclosing_basic(g)
-        b2 = enclosing_basic(g, J=_small_exclusion(graph, g, side="x"), K=())
+        # the second set excludes the first small morphism absent from g.x
+        b2 = enclosing_basic(g, J=[m for m in small if not g.x.contains(m)][:1])
         checked += 1
         try:
             b3 = enclosing_basic(
@@ -511,15 +531,6 @@ def refinement_check(graph: KGraph, bound: Degree, sample: int = 40) -> dict:
                 bad.append((str(g), f"refinement leaks at {e}"))
                 break
     return {"ok": not bad, "checked": checked, "counterexamples": [str(b) for b in bad[:3]]}
-
-
-def _small_exclusion(graph: KGraph, g: GroupoidElement, side: str) -> tuple:
-    """A morphism absent from the chosen side's filter, as an exclusion."""
-    flt = g.x if side == "x" else g.y
-    for m in graph.enumerate_morphisms(Degree((1,) * graph.rank)).morphisms:
-        if not flt.contains(m):
-            return (m,)
-    return ()
 
 
 def unit_space_check(graph: KGraph, bound: Degree) -> dict:

@@ -171,11 +171,6 @@ class Cylinder:
     include: tuple[Morphism, ...]
     exclude: tuple[Morphism, ...] = ()
 
-    def __str__(self) -> str:
-        inc = ",".join(str(m) for m in self.include)
-        exc = ",".join(str(m) for m in self.exclude)
-        return f"Z({inc}\\{{{exc}}})"
-
 
 def cylinder_membership(view, cyl: Cylinder) -> bool:
     return all(view.contains(m) for m in cyl.include) and not any(
@@ -482,7 +477,12 @@ def check_basis_property(graph: KGraph, bound: Degree) -> dict:
                 for y in leaks[mu]:
                     if not any(y.contains(m) for m in K2):
                         bad.append((K1, K2, y, "containment fails"))
-    return {"ok": not bad, "checked": checked, "counterexamples": [str(b[:3]) for b in bad[:3]]}
+    shown = [f"K1 = {_words(K1)}, K2 = {_words(K2)}, at {y}: {why}" for K1, K2, y, why in bad[:3]]
+    return {"ok": not bad, "checked": checked, "counterexamples": shown}
+
+
+def _words(ms) -> str:
+    return "{" + ", ".join(map(str, ms)) + "}"
 
 
 def upper_bound_in(x: Filter, K) -> Optional[Morphism]:
@@ -497,17 +497,17 @@ def check_ps_open(graph: KGraph, bound: Degree) -> dict:
     """PS is open in F(Lambda): each x in PS owns a basic set Z(mu) with
     mu in FA that stays inside PS, verified over the enumeration."""
     all_f = enumerate_filters(graph, bound).filters
-    ps = [x for x in all_f if in_ps(x)]
+    ps = ps_filters(graph, bound).filters
     bad = []
     for x in ps:
         mu = fa_extension(x, graph.unit(x.range))
         if mu is None:
-            bad.append((x, "no FA witness"))
+            bad.append(f"{x}: no FA witness")
             continue
         for y in all_f:
             if y.contains(mu) and not in_ps(y):
-                bad.append((x, f"Z({mu}) leaves PS at {y}"))
-    return {"ok": not bad, "ps_size": len(ps), "counterexamples": [str(b) for b in bad[:3]]}
+                bad.append(f"{x}: Z({mu}) leaves PS at {y}")
+    return {"ok": not bad, "ps_size": len(ps), "counterexamples": bad[:3]}
 
 
 def check_convergence_decisions(graph: KGraph, bound: Degree) -> dict:

@@ -1,8 +1,9 @@
 """Spielberg's groupoid over finitely aligned graphs, its E-hat basis,
 and the explicit isomorphism with the path groupoid.
 
-Triples [alpha, beta, x] are identified when both arise by shifting a
-common filter; the isomorphism sends a class to the element
+Triples [alpha, beta, x] are the path groupoid's spans (`groupoid.Span`,
+with x as z); two are identified when both arise by shifting a common
+filter, and the isomorphism sends a class to the element
 (shift_on(alpha, x), d(alpha) - d(beta), shift_on(beta, x)).  The
 groupoid operations are gated to graphs carrying an everywhere-finitely-
 aligned certificate (finite graphs pass automatically); the E-hat basis
@@ -31,9 +32,11 @@ from .pspace import (
 )
 from .action import shift_off, shift_on
 from .groupoid import (
-    GroupoidElement,
-    basic_set_membership,
     BasicGroupoidSet,
+    Fragment,
+    GroupoidElement,
+    Span,
+    basic_set_membership,
     fragment,
     invert,
     make_element,
@@ -78,10 +81,6 @@ class EHatSet:
         if not graph.prefix_leq(self.alpha, m):
             return False
         return not any(graph.prefix_leq(b, m) for b in self.exclusions)
-
-    def __str__(self) -> str:
-        exc = ",".join(str(b) for b in self.exclusions)
-        return f"Ehat({self.alpha}\\{{{exc}}})"
 
 
 def e_hat_membership(x: Filter, e: EHatSet) -> bool:
@@ -152,97 +151,65 @@ def check_topology_coincides(graph: KGraph, bound: Degree) -> dict:
     return {"ok": not bad, "checked": checked, "counterexamples": bad[:5]}
 
 
-# -- triples -----------------------------------------------------------------
+# -- triples ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpielbergTriple:
-    alpha: Morphism
-    beta: Morphism
-    x: Filter
-
-    def __post_init__(self):
-        if self.alpha.source != self.beta.source or self.alpha.source != self.x.range:
-            raise KGraphError(
-                f"triple endpoints disagree: s({self.alpha}), s({self.beta}), r({self.x})"
-            )
-
-    def __str__(self) -> str:
-        return f"[{self.alpha}, {self.beta}, {self.x}]"
-
-    def sort_key(self):
-        return (str(self.alpha), str(self.beta), self.x.sort_key())
+def sp_invert(t: Span) -> Span:
+    return Span(t.nu, t.mu, t.z)
 
 
-def sp_invert(t: SpielbergTriple) -> SpielbergTriple:
-    return SpielbergTriple(t.beta, t.alpha, t.x)
-
-
-def triple_equiv(
-    t1: SpielbergTriple, t2: SpielbergTriple
-) -> tuple[bool, Optional[tuple[Filter, Morphism, Morphism]]]:
+def triple_equiv(t1: Span, t2: Span) -> tuple[bool, Optional[tuple[Filter, Morphism, Morphism]]]:
     """Search for a common filter y and tails gamma, gamma' witnessing
     [a,b,x] ~ [a',b',x']."""
-    graph = t1.x.graph
+    graph = t1.z.graph
     require_fa_certificate(graph)
-    for gamma in t1.x.ordered:
-        y = shift_off(gamma, t1.x)
-        ag = graph.compose(t1.alpha, gamma)
-        bg = graph.compose(t1.beta, gamma)
-        for gamma2 in t2.x.ordered:
-            if shift_off(gamma2, t2.x) != y:
+    for gamma in t1.z.ordered:
+        y = shift_off(gamma, t1.z)
+        ag = graph.compose(t1.mu, gamma)
+        bg = graph.compose(t1.nu, gamma)
+        for gamma2 in t2.z.ordered:
+            if shift_off(gamma2, t2.z) != y:
                 continue
-            if ag == graph.compose(t2.alpha, gamma2) and bg == graph.compose(t2.beta, gamma2):
+            if ag == graph.compose(t2.mu, gamma2) and bg == graph.compose(t2.nu, gamma2):
                 return True, (y, gamma, gamma2)
     return False, None
 
 
-def canonical_triple(t: SpielbergTriple) -> SpielbergTriple:
+def canonical_triple(t: Span) -> Span:
     """Push the whole (finite) filter into the legs: the representative
     [alpha.gamma, beta.gamma, {s(gamma)}] for the maximum gamma of x."""
-    graph = t.x.graph
-    gamma = t.x.top()
-    y = shift_off(gamma, t.x)
+    graph = t.z.graph
+    gamma = t.z.top()
+    y = shift_off(gamma, t.z)
     if len(y.elements) != 1:
-        raise KGraphError(f"filter {t.x} has no maximum; canonical form undefined")
-    return SpielbergTriple(
-        graph.compose(t.alpha, gamma), graph.compose(t.beta, gamma), y
-    )
+        raise KGraphError(f"filter {t.z} has no maximum; canonical form undefined")
+    return Span(graph.compose(t.mu, gamma), graph.compose(t.nu, gamma), y)
 
 
-def sp_compose(t1: SpielbergTriple, t2: SpielbergTriple) -> SpielbergTriple:
+def sp_compose(t1: Span, t2: Span) -> Span:
     """[a, b, x][c, d, y] = [a.xi, d.eta, z] for a common refinement z of
     x and y with b.xi = c.eta; composability means the glued middles
     agree."""
-    graph = t1.x.graph
+    graph = t1.z.graph
     require_fa_certificate(graph)
-    if shift_on(t1.beta, t1.x) != shift_on(t2.alpha, t2.x):
+    if shift_on(t1.nu, t1.z) != shift_on(t2.mu, t2.z):
         raise KGraphError(f"triples not composable: {t1} then {t2}")
-    for xi in t1.x.ordered:
-        b_xi = graph.compose(t1.beta, xi)
-        for eta in t2.x.ordered:
-            if b_xi != graph.compose(t2.alpha, eta):
+    for xi in t1.z.ordered:
+        b_xi = graph.compose(t1.nu, xi)
+        for eta in t2.z.ordered:
+            if b_xi != graph.compose(t2.mu, eta):
                 continue
-            z1, z2 = shift_off(xi, t1.x), shift_off(eta, t2.x)
+            z1, z2 = shift_off(xi, t1.z), shift_off(eta, t2.z)
             if z1 != z2:
                 continue
-            return SpielbergTriple(
-                graph.compose(t1.alpha, xi), graph.compose(t2.beta, eta), z1
-            )
+            return Span(graph.compose(t1.mu, xi), graph.compose(t2.nu, eta), z1)
     raise KGraphError(f"no composition witness found for {t1}, {t2}")
 
 
-def phi(t: SpielbergTriple) -> GroupoidElement:
+def phi(t: Span) -> GroupoidElement:
     """The isomorphism: [a, b, x] -> (sigma^a x, d(a) - d(b), sigma^b x)."""
-    require_fa_certificate(t.x.graph)
-    return make_element(t.alpha, t.beta, t.x)
-
-
-def enumerate_triples(graph: KGraph, bound: Degree) -> list[SpielbergTriple]:
-    """One triple per path-groupoid span, in span order, so the two sides
-    of the isomorphism see the same fragment: phi of the k-th triple is
-    the fragment's k-th built element."""
-    return [SpielbergTriple(alpha, beta, x) for alpha, beta, x in fragment(graph, bound).spans]
+    require_fa_certificate(t.z.graph)
+    return make_element(t)
 
 
 def iso_check(graph: KGraph, bound: Degree) -> dict:
@@ -251,44 +218,40 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     elements, compatible with composition and inversion, and carrying
     basic sets onto basic sets.
 
-    The triples are the path-groupoid spans, so phi of the k-th triple is
-    the k-th element the fragment built.  Composition is compared
-    entrywise over composable class pairs: the triple side composes by
-    witness search and maps through phi; the element side reads the
-    composite from the fragment's closed composition table, shared with
-    `axiom_suite`.
+    The triples are the fragment's spans, so phi of the k-th triple is
+    the k-th element the fragment built, read from `built` rather than
+    rebuilt.  A class is keyed by its canonical span, in first-seen
+    order.  Composition is compared entrywise over composable class
+    pairs: the triple side composes by witness search and maps through
+    phi; the element side reads the composite from the fragment's closed
+    composition table, shared with `axiom_suite`.
     """
     require_fa_certificate(graph)
     frag = fragment(graph, bound)
-    triples = enumerate_triples(graph, bound)
-    built = frag.built
-    classes: dict[tuple, list[int]] = {}  # canonical key -> triple positions
-    canon: list[SpielbergTriple] = []  # canonical_triple of each class's first member
-    for k, t in enumerate(triples):
-        c = canonical_triple(t)
-        members = classes.setdefault(c.sort_key(), [])
-        if not members:
-            canon.append(c)
-        members.append(k)
+    spans, built = frag.spans, frag.built
+    classes: dict[Span, list[int]] = {}  # canonical span -> span positions
+    for k, t in enumerate(spans):
+        classes.setdefault(canonical_triple(t), []).append(k)
+    canon = list(classes)
 
-    report: dict = {"triples": len(triples), "classes": len(classes)}
+    report: dict = {"triples": len(spans), "classes": len(classes)}
     bad: list = []
 
     # class structure re-verified by explicit witness search
     for members in classes.values():
-        rep = triples[members[0]]
+        rep = spans[members[0]]
         for k in members[1:]:
-            ok, _ = triple_equiv(rep, triples[k])
+            ok, _ = triple_equiv(rep, spans[k])
             if not ok:
-                bad.append(("class glue", str(rep), str(triples[k])))
+                bad.append(("class glue", str(rep), str(spans[k])))
 
     # well-defined and injective
-    images: dict[tuple, GroupoidElement] = {}
-    for key, members in classes.items():
+    images: dict[Span, GroupoidElement] = {}
+    for c, members in classes.items():
         imgs = {built[k] for k in members}
         if len(imgs) != 1:
-            bad.append(("not well-defined", str(triples[members[0]])))
-        images[key] = imgs.pop()
+            bad.append(("not well-defined", str(spans[members[0]])))
+        images[c] = imgs.pop()
     if len(set(images.values())) != len(images):
         bad.append(("not injective",))
 
@@ -303,15 +266,11 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     # composition and inversion, entrywise over composable class pairs
     ids, rows = frag.ids, frag.rows
     phi_of = {t: phi(t) for t in canon}
-    middles: dict[Filter, list[SpielbergTriple]] = {}
+    middles: dict[Filter, list[Span]] = {}
     for t in canon:
-        middles.setdefault(shift_on(t.alpha, t.x), []).append(t)
-    comp_checked = 0
-    pairs = [
-        (t1, t2) for t1 in canon for t2 in middles.get(shift_on(t1.beta, t1.x), [])
-    ]
+        middles.setdefault(shift_on(t.mu, t.z), []).append(t)
+    pairs = [(t1, t2) for t1 in canon for t2 in middles.get(shift_on(t1.nu, t1.z), [])]
     for t1, t2 in pairs:
-        comp_checked += 1
         lhs = phi(sp_compose(t1, t2))
         i, j = ids.get(phi_of[t1]), ids.get(phi_of[t2])
         rhs = None if i is None or j is None else frag.closure[rows[i][j]]
@@ -320,45 +279,46 @@ def iso_check(graph: KGraph, bound: Degree) -> dict:
     for t in canon:
         if phi(sp_invert(t)) != invert(phi_of[t]):
             bad.append(("inversion", str(t)))
-    report["composition_pairs"] = comp_checked
+    report["composition_pairs"] = len(pairs)
 
-    # basic sets map to basic sets: [a, b, Z(mu\K)] onto Z(a.mu\a.K; b.mu\b.K)
-    basic_bad = _check_basic_set_image(graph, bound, triples)
-    bad.extend(basic_bad)
+    bad.extend(_check_basic_set_image(graph, bound, frag))
 
     report["ok"] = not bad
     report["failures"] = [str(b) for b in bad[:5]]
     return report
 
 
-def _check_basic_set_image(graph, bound, triples) -> list:
-    bad = []
+def _check_basic_set_image(graph: KGraph, bound: Degree, frag: Fragment) -> list:
+    """Basic sets map to basic sets: for every leg (alpha, beta) of the
+    fragment and every non-unit zeta with r(zeta) = s(alpha) at the
+    bound, the triples [alpha, beta, z] with z in the unit cylinder
+    Z(s(alpha) \\ zeta) are exactly the spans of that leg whose element
+    lies in Z(alpha \\ alpha.zeta; beta \\ beta.zeta).
+
+    Unit cylinders suffice: [alpha, beta, x] with x in Z(mu \\ K) is
+    equivalent to [alpha.mu, beta.mu, shift_off(mu, x)], so the image of
+    [alpha, beta, Z(mu \\ K)] is that of a unit cylinder on the leg
+    (alpha.mu, beta.mu), and every leg within the bound is enumerated.
+    Each element is read from `frag.built`; on a graph with an FA
+    certificate every leg is in FA, so every basic set exists.
+    """
     morphs = graph.enumerate_morphisms(bound).morphisms
-    legs = sorted({(t.alpha, t.beta) for t in triples}, key=lambda p: (str(p[0]), str(p[1])))
-    step = max(1, len(legs) // 12)
-    for alpha, beta in legs[::step]:
-        mu = graph.unit(alpha.source)
-        for zeta in [m for m in morphs if m.range == mu.range][:3]:
-            if zeta.is_unit():
+    by_leg: dict[tuple[Morphism, Morphism], list[int]] = {}
+    for k, t in enumerate(frag.spans):
+        by_leg.setdefault((t.mu, t.nu), []).append(k)
+    bad = []
+    for (alpha, beta), members in by_leg.items():
+        for zeta in morphs:
+            if zeta.range != alpha.source or zeta.is_unit():
                 continue
-            K = (zeta,)
-            try:
-                image_set = BasicGroupoidSet(
-                    graph.compose(alpha, mu),
-                    graph.compose(beta, mu),
-                    tuple(graph.compose(alpha, k) for k in K),
-                    tuple(graph.compose(beta, k) for k in K),
-                )
-            except KGraphError:
-                continue
-            source_cyl = Cylinder((mu,), K)
-            for t in triples:
-                if t.alpha != alpha or t.beta != beta:
-                    continue
-                in_source = cylinder_membership(t.x, source_cyl)
-                in_image = basic_set_membership(phi(t), image_set)
-                if in_source != in_image:
-                    bad.append(("basic set image", str(t), str(image_set)))
+            image = BasicGroupoidSet(
+                alpha, beta, (graph.compose(alpha, zeta),), (graph.compose(beta, zeta),)
+            )
+            for k in members:
+                t = frag.spans[k]
+                # r(z) = s(alpha), so z lies in Z(s(alpha) \ zeta) iff it misses zeta
+                if (not t.z.contains(zeta)) != basic_set_membership(frag.built[k], image):
+                    bad.append(("basic set image", str(t), str(image)))
     return bad
 
 

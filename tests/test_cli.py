@@ -50,6 +50,18 @@ def test_validate_bad_squares(tmp_path, capsys):
     assert "factorisation property violated" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["align", "paths", "groupoid"])
+def test_bad_document_is_an_input_error_outside_validate(command, tmp_path, capsys):
+    """Only validate reports a document that fails to load; the other
+    commands print its line as an input error and nothing on stdout."""
+    doc = tmp_path / "bad_squares.kg"
+    doc.write_text("vertices: a b c d\nedges:\n  e 1 b -> a\n  f 2 c -> b\n")
+    assert main([command, "--graph", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: line 3: factorisation property violated")
+
+
 @pytest.mark.parametrize(
     "doc, line, name",
     [

@@ -21,14 +21,14 @@ def u_filter(tg):
 
 
 def test_make_element_example(tg, u_filter):
-    g = gp.make_element(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter)
+    g = gp.make_element(gp.Span(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter))
     assert g.q == (1, -1)
     assert {str(m) for m in g.x.elements} == {"t", "beta[1]"}
     assert {str(m) for m in g.y.elements} == {"w", "alpha[1]"}
 
 
 def test_make_element_unit(tg, u_filter):
-    g = gp.make_element(tg.unit(u_filter.range), tg.unit(u_filter.range), u_filter)
+    g = gp.make_element(gp.Span(tg.unit(u_filter.range), tg.unit(u_filter.range), u_filter))
     assert g == gp.unit_element(u_filter) and g.is_unit()
 
 
@@ -36,12 +36,12 @@ def test_make_element_rejects_ps_escape(tg):
     w = ps.principal(tg.unit(tg.vertex("w")))
     lam = tg.morphism("lambda")
     with pytest.raises(gp.SpanRejectedError, match="leaves the path space"):
-        gp.make_element(lam, lam, w)
+        gp.make_element(gp.Span(lam, lam, w))
 
 
 def test_compose_examples(tg, u_filter):
-    g = gp.make_element(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter)
-    h = gp.make_element(tg.morphism("alpha[1]"), tg.unit(tg.vertex("u")), u_filter)
+    g = gp.make_element(gp.Span(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter))
+    h = gp.make_element(gp.Span(tg.morphism("alpha[1]"), tg.unit(tg.vertex("u")), u_filter))
     gh = gp.compose_elements(g, h)
     assert gh.q == (1, 0) and gh.y == u_filter and gh.x == g.x
     gp.verify_certificate(gh)
@@ -51,13 +51,13 @@ def test_compose_examples(tg, u_filter):
 
 
 def test_compose_requires_matching_middle(tg, u_filter):
-    g = gp.make_element(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter)
+    g = gp.make_element(gp.Span(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter))
     with pytest.raises(gp.GroupoidError):
         gp.compose_elements(g, g)
 
 
 def test_invert_examples(tg, u_filter):
-    g = gp.make_element(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter)
+    g = gp.make_element(gp.Span(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter))
     gi = gp.invert(g)
     assert gi.q == (-1, 1) and gi.x == g.y and gi.y == g.x
     assert gp.invert(gi) == g
@@ -66,14 +66,23 @@ def test_invert_examples(tg, u_filter):
 
 
 def test_span_roundtrip(tg, u_filter):
-    g = gp.make_element(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter)
-    mu, nu, z = gp.span_of(g)
-    assert (str(mu), str(nu)) == ("beta[1]", "alpha[1]") and z == u_filter
-    assert gp.make_element(mu, nu, z) == g
+    g = gp.make_element(gp.Span(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter))
+    span = gp.span_of(g)
+    assert (str(span.mu), str(span.nu)) == ("beta[1]", "alpha[1]") and span.z == u_filter
+    assert gp.make_element(span) == g
+
+
+def test_span_rejects_disagreeing_endpoints(tg, u_filter):
+    """The one endpoint check: s(mu) = s(nu) = r(z)."""
+    beta, alpha = tg.morphism("beta[1]"), tg.morphism("alpha[1]")
+    with pytest.raises(gp.GroupoidError, match="span mismatch"):
+        gp.Span(beta, tg.unit(tg.vertex("t")), u_filter)
+    with pytest.raises(gp.GroupoidError, match="span mismatch"):
+        gp.Span(beta, alpha, ps.principal(tg.unit(tg.vertex("w"))))
 
 
 def test_basic_set_membership_examples(tg, u_filter):
-    g = gp.make_element(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter)
+    g = gp.make_element(gp.Span(tg.morphism("beta[1]"), tg.morphism("alpha[1]"), u_filter))
     b = gp.BasicGroupoidSet(tg.morphism("beta[1]"), tg.morphism("alpha[1]"))
     assert gp.basic_set_membership(g, b)
     b_excl = gp.BasicGroupoidSet(

@@ -224,7 +224,9 @@ def test_every_exported_name_has_a_caller_in_the_package():
 # Stored data and parameters that the package does not read, each kept
 # for a reason.
 UNREAD_ALLOWED = {
-    # every command handler takes (args, graph, bound); validate needs no bound
+    # every command handler takes (args, graph, bound); validate reads only
+    # the graph, since main reports a document that fails to parse
+    "cli.cmd_validate(args)",
     "cli.cmd_validate(bound)",
 }
 

@@ -358,13 +358,33 @@ def test_basis_property_catches_a_non_hereditary_filter(make, top, dropped, monk
         "enumerate_filters",
         lambda g, b: ps.FilterList(genuine.filters + [corrupt], genuine.exact),
     )
-    assert not ps.check_basis_property(graph, bound)["ok"]
+    rep = ps.check_basis_property(graph, bound)
+    assert not rep["ok"]
+    # each failure names its sets and filter in words, and its reason
+    for text in rep["counterexamples"]:
+        assert text.endswith(f"at {corrupt}: containment fails")
+        assert text.startswith("K1 = {") and "object at" not in text
 
 
 def test_ps_open(tg3):
     rep = ps.check_ps_open(tg3, B22)
     assert rep["ok"] and rep["ps_size"] == 3 + 3 * 3
     assert ps.check_ps_open(lambda_yee(2), Degree((1, 1)))["ok"]
+
+
+def test_ps_open_catches_a_point_outside_ps(monkeypatch):
+    """A path-space point declared outside PS leaves Z(t), the basic set
+    of every other point at t; each failure names both filters and the
+    reason."""
+    graph = lambda_tg(2)
+    outside = ps.principal(graph.morphism("beta[1]"))
+    real = ps.in_ps
+    monkeypatch.setattr(ps, "in_ps", lambda x: x is not outside and real(x))
+    rep = ps.check_ps_open(graph, B22)
+    assert not rep["ok"]
+    assert rep["counterexamples"] == [
+        f"{x}: Z(t) leaves PS at {outside}" for x in ("{t, beta[2]}", "{t}")
+    ]
 
 
 def test_every_enumerated_filter_passes_is_filter(tg3):

@@ -85,8 +85,8 @@ def test_triple_equiv_glueing(gr):
     alpha = gr.morphism("h[1,1]")  # g[2,1] -> g[1,1]
     beta = gr.morphism("k[2,0]")  # g[2,1] -> g[2,0]
     x = shift_on(gamma, y)
-    t1 = sp.SpielbergTriple(alpha, beta, x)
-    t2 = sp.SpielbergTriple(gr.compose(alpha, gamma), gr.compose(beta, gamma), y)
+    t1 = gp.Span(alpha, beta, x)
+    t2 = gp.Span(gr.compose(alpha, gamma), gr.compose(beta, gamma), y)
     ok, witness = sp.triple_equiv(t1, t2)
     assert ok
     wy, g1, g2 = witness
@@ -95,15 +95,15 @@ def test_triple_equiv_glueing(gr):
 
 def test_triple_equiv_reflexive_and_units_distinct(gr):
     x = ps.principal(gr.morphism("h[0,0]"))
-    t = sp.SpielbergTriple(gr.unit(x.range), gr.unit(x.range), x)
+    t = gp.Span(gr.unit(x.range), gr.unit(x.range), x)
     assert sp.triple_equiv(t, t)[0]
     x2 = ps.principal(gr.morphism("h[0,1]"))
-    t2 = sp.SpielbergTriple(gr.unit(x2.range), gr.unit(x2.range), x2)
+    t2 = gp.Span(gr.unit(x2.range), gr.unit(x2.range), x2)
     assert not sp.triple_equiv(t, t2)[0]
 
 
 def test_triple_equiv_is_an_equivalence_on_sampled_triples(gr):
-    triples = sp.enumerate_triples(gr, Degree((1, 1)))[::7]
+    triples = gp.fragment(gr, Degree((1, 1))).spans[::7]
     for t in triples:
         assert sp.triple_equiv(t, t)[0]
     for t1, t2 in itertools.combinations(triples[:12], 2):
@@ -118,28 +118,28 @@ def test_triple_equiv_is_an_equivalence_on_sampled_triples(gr):
 def test_canonical_triple(gr):
     y = _vertex_filter(gr, "g[2,2]")
     gamma = gr.morphism("k[2,1]")
-    t = sp.SpielbergTriple(gr.morphism("h[1,1]"), gr.morphism("h[1,1]"), shift_on(gamma, y))
+    t = gp.Span(gr.morphism("h[1,1]"), gr.morphism("h[1,1]"), shift_on(gamma, y))
     canon = sp.canonical_triple(t)
-    assert canon.x == y
+    assert canon.z == y
     assert sp.triple_equiv(t, canon)[0]
 
 
 def test_sp_compose_inverse_and_unit_laws(gr):
     x = ps.principal(gr.morphism("k[1,0]"))  # r(x) = g[1,0]
     alpha = gr.morphism("h[0,0]")  # g[1,0] -> g[0,0]
-    t = sp.SpielbergTriple(alpha, gr.unit(gr.vertex("g[1,0]")), x)
+    t = gp.Span(alpha, gr.unit(gr.vertex("g[1,0]")), x)
     ti = sp.sp_invert(t)
     prod = sp.sp_compose(t, ti)
     lifted = shift_on(alpha, x)
-    unit = sp.SpielbergTriple(gr.unit(lifted.range), gr.unit(lifted.range), lifted)
+    unit = gp.Span(gr.unit(lifted.range), gr.unit(lifted.range), lifted)
     assert sp.triple_equiv(prod, unit)[0]
-    left_unit = sp.SpielbergTriple(gr.unit(lifted.range), gr.unit(lifted.range), lifted)
+    left_unit = gp.Span(gr.unit(lifted.range), gr.unit(lifted.range), lifted)
     assert sp.triple_equiv(sp.sp_compose(left_unit, t), t)[0]
 
 
 def test_sp_compose_not_composable(gr):
     x = ps.principal(gr.morphism("k[1,0]"))
-    t = sp.SpielbergTriple(gr.morphism("h[0,0]"), gr.unit(gr.vertex("g[1,0]")), x)
+    t = gp.Span(gr.morphism("h[0,0]"), gr.unit(gr.vertex("g[1,0]")), x)
     with pytest.raises(Exception, match="composable"):
         sp.sp_compose(sp.sp_invert(t), sp.sp_invert(t))
 
@@ -148,16 +148,13 @@ def test_sampled_composition_table_matches_brute_force(gr):
     """Entrywise comparison of the two composition tables: the triple
     side composes by witness search, the image side by certificate
     arithmetic."""
-    triples = sp.enumerate_triples(gr, Degree((1, 1)))
-    canon = sorted(
-        {sp.canonical_triple(t).sort_key(): sp.canonical_triple(t) for t in triples}.values(),
-        key=sp.SpielbergTriple.sort_key,
-    )
+    spans = gp.fragment(gr, Degree((1, 1))).spans
+    canon = list(dict.fromkeys(sp.canonical_triple(t) for t in spans))
     sampled = canon[::11]
     checked = 0
     for t1 in sampled:
         for t2 in sampled:
-            if shift_on(t1.beta, t1.x) != shift_on(t2.alpha, t2.x):
+            if shift_on(t1.nu, t1.z) != shift_on(t2.mu, t2.z):
                 continue
             checked += 1
             lhs = sp.phi(sp.sp_compose(t1, t2))
@@ -171,12 +168,12 @@ def test_sampled_composition_table_matches_brute_force(gr):
 
 def test_phi_examples(gr):
     x = _vertex_filter(gr, "g[2,2]")
-    unit_triple = sp.SpielbergTriple(gr.unit(x.range), gr.unit(x.range), x)
+    unit_triple = gp.Span(gr.unit(x.range), gr.unit(x.range), x)
     assert sp.phi(unit_triple) == gp.unit_element(x)
 
     sq = squares_graph()
     se = _vertex_filter(sq, "se")
-    t = sp.SpielbergTriple(sq.morphism("q[1]"), sq.morphism("p[1]"), se)
+    t = gp.Span(sq.morphism("q[1]"), sq.morphism("p[1]"), se)
     g = sp.phi(t)
     # both sides computed independently of make_element
     assert g.x == shift_on(sq.morphism("q[1]"), se)
@@ -188,8 +185,8 @@ def test_phi_constant_on_equivalent_triples(gr):
     y = _vertex_filter(gr, "g[2,2]")
     gamma = gr.morphism("k[2,1]")
     alpha = beta = gr.morphism("h[1,1]")
-    t1 = sp.SpielbergTriple(alpha, beta, shift_on(gamma, y))
-    t2 = sp.SpielbergTriple(gr.compose(alpha, gamma), gr.compose(beta, gamma), y)
+    t1 = gp.Span(alpha, beta, shift_on(gamma, y))
+    t2 = gp.Span(gr.compose(alpha, gamma), gr.compose(beta, gamma), y)
     assert sp.phi(t1) == sp.phi(t2)
 
 
@@ -237,6 +234,102 @@ def test_iso_check_line_and_cycle_bounded():
     assert rep_c["ok"] and rep_c["bijection_count_match"]
 
 
+@pytest.mark.parametrize(
+    "make, bound, cases",
+    [
+        (lambda: grid(2), B22, 756),
+        (squares_graph, B22, 180),
+        (lambda: cycle(3), Degree((3,)), 270),
+    ],
+)
+def test_basic_set_image_covers_every_leg_and_exclusion(make, bound, cases, monkeypatch):
+    """One membership test per (leg, non-unit zeta, span of the leg)."""
+    real, calls = sp.basic_set_membership, []
+    monkeypatch.setattr(sp, "basic_set_membership", lambda g, b: calls.append(b) or real(g, b))
+    graph = make()
+    assert sp.iso_check(graph, bound)["ok"]
+    spans = gp.fragment(graph, bound).spans
+    morphs = graph.enumerate_morphisms(bound).morphisms
+    expected = sum(
+        1
+        for t in spans
+        for zeta in morphs
+        if zeta.range == t.mu.source and not zeta.is_unit()
+    )
+    assert len(calls) == expected == cases
+
+
+def _first_span(graph, bound):
+    return gp.fragment(graph, bound).spans[0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, labels",
+    [
+        ({"triple_equiv": lambda t1, t2: (False, None)}, ["class glue"]),
+        ({"canonical_triple": lambda t: t}, ["not injective"]),
+        (
+            # a constant class map; triple_equiv is made to agree, so the
+            # glue failures do not fill the report first
+            {
+                "canonical_triple": lambda t: _first_span(t.z.graph, Degree((1, 1))),
+                "triple_equiv": lambda t1, t2: (True, None),
+            },
+            ["not well-defined", "not surjective"],
+        ),
+        ({"sp_compose": lambda t1, t2: t1}, ["composition"]),
+        ({"sp_invert": lambda t: t}, ["inversion"]),
+        ({"basic_set_membership": lambda g, b: not gp.basic_set_membership(g, b)}, ["basic set image"]),
+    ],
+)
+def test_iso_check_failure_fires(corrupt, labels, monkeypatch):
+    """Each failure label of iso_check fires under a corruption of the
+    operation it checks."""
+    for name, fn in corrupt.items():
+        monkeypatch.setattr(sp, name, fn)
+    rep = sp.iso_check(grid(2), Degree((1, 1)))
+    assert not rep["ok"]
+    assert set(labels) <= {f.split("'")[1] for f in rep["failures"]}, rep["failures"]
+
+
+def _line_element(g) -> tuple:
+    return frozenset(map(str, g.x.elements)), g.q, frozenset(map(str, g.y.elements))
+
+
+def _colour_part(m, c: int) -> str:
+    """The colour-(c + 1) part of a grid morphism, spelled in line(n):
+    h[i,j] -> g[i] and k[i,j] -> g[j], the vertex g[i,j] -> p[i] or p[j]."""
+    letters = [f"g[{e.index[c]}]" for e in m.word if e.base == "hk"[c]]
+    return ".".join(letters) if letters else f"p[{m.range.index[c]}]"
+
+
+def _colour_projection(g, c: int) -> tuple:
+    return (
+        frozenset(_colour_part(m, c) for m in g.x.elements),
+        (g.q[c],),
+        frozenset(_colour_part(m, c) for m in g.y.elements),
+    )
+
+
+@pytest.mark.parametrize("n, classes, pairs", [(2, 14, 36), (3, 30, 100)])
+def test_grid_is_line_times_line(n, classes, pairs):
+    """grid(n) is the product 2-graph line(n) x line(n), so its path
+    groupoid at (n, n) is the product of line(n)'s at (n) as a set of
+    element pairs, and the counts of the suites are squares."""
+    sq, ln = grid(n), line(n)
+    sq_bound, ln_bound = Degree((n, n)), Degree((n,))
+    sq_elements = gp.enumerate_pg(sq, sq_bound)
+    projected = {(_colour_projection(g, 0), _colour_projection(g, 1)) for g in sq_elements}
+    ln_elements = {_line_element(g) for g in gp.enumerate_pg(ln, ln_bound)}
+    assert len(projected) == len(sq_elements)
+    assert projected == set(itertools.product(ln_elements, ln_elements))
+    rep_ln, rep_sq = sp.iso_check(ln, ln_bound), sp.iso_check(sq, sq_bound)
+    assert (rep_ln["classes"], rep_ln["composition_pairs"]) == (classes, pairs)
+    assert (rep_sq["classes"], rep_sq["composition_pairs"]) == (classes**2, pairs**2)
+    assert gp.axiom_suite(ln, ln_bound)["composable_pairs"] == pairs
+    assert gp.axiom_suite(sq, sq_bound)["composable_pairs"] == pairs**2
+
+
 # -- relative filter space diagnostic -----------------------------------------
 
 
@@ -264,7 +357,7 @@ def test_triple_serialisation(gr):
     y = _vertex_filter(gr, "g[2,2]")
     gamma = gr.morphism("k[2,1]")
     alpha = gr.morphism("h[1,1]")
-    t = sp.SpielbergTriple(alpha, alpha, shift_on(gamma, y))
+    t = gp.Span(alpha, alpha, shift_on(gamma, y))
     # equivalent triples share the canonical representative
-    t2 = sp.SpielbergTriple(gr.compose(alpha, gamma), gr.compose(alpha, gamma), y)
+    t2 = gp.Span(gr.compose(alpha, gamma), gr.compose(alpha, gamma), y)
     assert sp.canonical_triple(t) == sp.canonical_triple(t2) == t2
