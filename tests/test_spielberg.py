@@ -241,6 +241,7 @@ def test_iso_check_line_and_cycle_bounded():
         (squares_graph, B22, 180),
         (lambda: cycle(3), Degree((3,)), 270),
     ],
+    ids=["grid", "squares", "cycle"],
 )
 def test_basic_set_image_covers_every_leg_and_exclusion(make, bound, cases, monkeypatch):
     """One membership test per (leg, non-unit zeta, span of the leg)."""
@@ -281,6 +282,7 @@ def _first_span(graph, bound):
         ({"sp_invert": lambda t: t}, ["inversion"]),
         ({"basic_set_membership": lambda g, b: not gp.basic_set_membership(g, b)}, ["basic set image"]),
     ],
+    ids=["glue", "injective", "well-defined", "composition", "inversion", "basic-set-image"],
 )
 def test_iso_check_failure_fires(corrupt, labels, monkeypatch):
     """Each failure label of iso_check fires under a corruption of the
