@@ -44,9 +44,8 @@ def shift_off(lam: Morphism, x: Filter) -> Filter:
     graph = x.graph
     if not x.contains(lam):
         raise ShiftDomainError(f"{lam} is not in the filter {x}")
-    return canonical_filter(
-        graph, frozenset(tail for kappa in x.elements for tail in graph.tails(lam, kappa))
-    )
+    tails = (graph.tail(lam, kappa) for kappa in x.elements)
+    return canonical_filter(graph, frozenset(t for t in tails if t is not None))
 
 
 @per_graph

@@ -15,11 +15,11 @@ range.  The row kernel (:func:`_mce_row`) walks mu's extension fiber at
 l = lub(d(mu), p) once for each degree p = d(nu) in the row and groups
 the extensions mu.kappa by their unique degree-p prefix, so the common
 extensions of (mu, nu) are the group of nu: a dict lookup instead of a
-prefix test per extension.  An extension without a unique prefix
-(incomplete square sets) is tested with ``prefix_leq``, and a pair
-whose mu-side fiber is inexact searches nu's side and then the
-annotations.  The index lives only as long as its row; :func:`mce`
-is the kernel run on a single pair.
+prefix test per extension.  An extension without a degree-p prefix
+(incomplete square sets) lies above no nu of degree p.  A pair whose
+mu-side fiber is inexact searches nu's side and then the annotations.
+The index lives only as long as its row; :func:`mce` is the kernel run
+on a single pair.
 """
 
 from __future__ import annotations
@@ -96,32 +96,27 @@ def _mce_row(mu: Morphism, nus) -> Iterator[MceResult]:
             yield _mce_inexact(mu, nu, mu_side)
 
 
-def _extensions_by_prefix(mu: Morphism, p: Degree) -> tuple[dict, list, bool]:
+def _extensions_by_prefix(mu: Morphism, p: Degree) -> tuple[dict, bool]:
     """mu's extensions mu.kappa of degree lub(d(mu), p), grouped by their
-    unique degree-p prefix; those without a unique prefix (incomplete
-    square sets); and the exactness flag of mu's fiber."""
+    degree-p prefix, and the exactness flag of mu's fiber."""
     graph = mu.graph
     fib = graph.fiber(mu.source, mu.degree.lub(p).sub(mu.degree))
     groups: dict[Morphism, list[Morphism]] = {}
-    ungrouped = []
     for kappa in fib.elements:
         ext = graph.compose(mu, kappa)
         try:
             prefix, _ = graph.factorize(ext, p)
         except FactorizationError:
-            ungrouped.append(ext)
-        else:
-            groups.setdefault(prefix, []).append(ext)
-    return groups, ungrouped, fib.exact
+            continue
+        groups.setdefault(prefix, []).append(ext)
+    return groups, fib.exact
 
 
 def _common_extensions(index: tuple, nu: Morphism) -> tuple[tuple[Morphism, ...], bool]:
     """The indexed extensions that nu is a prefix of, sorted, and the
     exactness flag of the fiber they came from."""
-    groups, ungrouped, exact = index
-    found = set(groups.get(nu, ()))
-    found.update(ext for ext in ungrouped if nu.graph.prefix_leq(nu, ext))
-    return tuple(sorted(found, key=Morphism.sort_key)), exact
+    groups, exact = index
+    return tuple(sorted(groups.get(nu, ()), key=Morphism.sort_key)), exact
 
 
 def _mce_inexact(mu: Morphism, nu: Morphism, mu_side: tuple[Morphism, ...]) -> MceResult:
@@ -286,7 +281,7 @@ def check_fa_structure(graph: KGraph, bound: Degree) -> dict:
                 final_segment_bad.append((m, nu))
     report["final_segments"] = _ok(final_segment_bad)
 
-    source_bad = [m for m in fa if is_fa(graph.unit(m.source)) is not Verdict.TRUE]
+    source_bad = [(m,) for m in fa if is_fa(graph.unit(m.source)) is not Verdict.TRUE]
     report["closed_under_source"] = _ok(source_bad)
 
     range_counterexamples = [
@@ -380,8 +375,8 @@ def validate_relative_cop(graph: KGraph, bound: Degree) -> dict:
         for nu in far_by_range.get(mu.source, ()):
             if not in_far(graph.compose(mu, nu)):
                 compose_bad.append((mu, nu))
-    source_bad = [m for m in far if not in_far(graph.unit(m.source))]
-    range_bad = [m for m in far if not in_far(graph.unit(m.range))]
+    source_bad = [(m,) for m in far if not in_far(graph.unit(m.source))]
+    range_bad = [(m,) for m in far if not in_far(graph.unit(m.range))]
 
     mce_bad = []
     for mu in far:

@@ -438,14 +438,10 @@ def catalog_names() -> list[str]:
 
 
 def by_name(name: str, cutoff: int = 3, blocks: int = 2) -> KGraph:
-    """The catalog graph `name`.  `cutoff` and `blocks` must be >= 1 on
-    every graph, also on those that do not use them."""
+    """The catalog graph `name`; graphs without families ignore `cutoff`,
+    and all but tg-infinity ignore `blocks`."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown catalog graph {name!r}; known: {', '.join(catalog_names())}")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    if blocks < 1:
-        raise ValueError("blocks must be >= 1")
     return builder(cutoff=cutoff, blocks=blocks)

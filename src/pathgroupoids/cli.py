@@ -66,6 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_graph(args) -> KGraph:
+    # checked for every graph, also one that does not use the value: the
+    # report echoes it in its config
+    for option in ("cutoff", "blocks"):
+        if getattr(args, option) < 1:
+            raise ValueError(f"{option} must be >= 1")
     if args.graph in catalog.catalog_names():
         return catalog.by_name(args.graph, cutoff=args.cutoff, blocks=args.blocks)
     if os.path.exists(args.graph):

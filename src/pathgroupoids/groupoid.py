@@ -307,7 +307,7 @@ def paired_fa_witnesses(
             ext = upper_bound_in(flt, (base, t))
             if ext is None:
                 raise GroupoidError(f"{t} has no common extension with the witness in {flt}")
-            needed.append(graph.tails(base, ext)[0])
+            needed.append(graph.tail(base, ext))
 
     for tau in w.ordered:
         if not all(graph.prefix_leq(t, tau) for t in needed):

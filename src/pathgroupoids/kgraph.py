@@ -11,8 +11,8 @@ factorisation property.
 
 Graphs whose square set is declared incomplete (the block-glued catalog
 example) are handled as word categories: composition always succeeds, and
-factorisation falls back to an enumeration search that reports missing or
-ambiguous prefixes honestly.
+factorisation pulls edges through the squares as on complete graphs; a
+pull that meets a missing square means that no factorisation exists.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ComposabilityError(KGraphError):
 
 
 class FactorizationError(KGraphError):
-    """Raised when a morphism has no (or no unique) prefix at a degree."""
+    """Raised when a morphism has no prefix at a degree."""
 
 
 @dataclass(frozen=True, order=True)
@@ -422,48 +422,76 @@ class KGraph:
         if not p.leq(lam.degree):
             raise FactorizationError(f"degree {p} is not below d({lam}) = {lam.degree}")
         found = self._factorization(lam, p)
-        if isinstance(found, list):
-            how = "ambiguous factorisations" if found else "no factorisation"
-            raise FactorizationError(f"{lam} has {how} at degree {p}")
+        if found is None:
+            raise FactorizationError(f"{lam} has no factorisation at degree {p}")
         return found
 
     @per_graph
-    def _factorization(self, lam: Morphism, p: Degree) -> tuple | list:
-        """For p <= d(lam): the unique factorisation at p, or else the list
-        of factorisations the fiber search found (none or several)."""
+    def _factorization(self, lam: Morphism, p: Degree) -> tuple[Morphism, Morphism] | None:
+        """For p <= d(lam): the unique (mu, nu) with lam = mu.nu and
+        d(mu) = p, or None when lam has no prefix of degree p.
+
+        A failed pull means no factorisation, for every square table of
+        rank 2.  Draw a word of degree (a, b) as a monotone lattice path
+        in the a x b box, colour 1 across and colour 2 up.  A square
+        rewrites two adjacent edges of different colours, which flips the
+        path across one unit cell; edges of one colour never swap.
+
+        1. Rewriting descents terminates, and two descents never overlap,
+           so equal words (joined by rewrites either way) share one normal
+           form: mu.nu = lam iff mu's word then nu's equals lam's word.
+        2. Flips of two cells without a common side touch disjoint
+           positions and commute.  Between the two nearest flips of one
+           cell every flipped cell is of that kind, so the two flips can
+           be brought together and cancelled.  Hence two equal words are
+           joined by rewrites that flip each cell where their paths
+           differ once, in any order the box allows: every path between
+           their paths is the path of an equal word.
+        3. The paths through the lattice point p form an interval, so two
+           equal words through p are joined by rewrites that never
+           straddle position |p|: the factorisation at p is unique.
+        4. Let r be the degree still to pull and u an equal word through
+           r.  Pulling the first edge of a needed colour to the front
+           flips only cells that u's path has flipped too, so by 2 each
+           step is a square of the table.  The median of the pulled path,
+           u's path and a path through r that starts with the pulled
+           colour lies between the first two; by 2 and 3 the rest of the
+           word then has a prefix of degree r minus the popped edge.
+
+        On tg-infinity every square rewrites a two-edge path from v[m+1]
+        to v[m], and no square crosses a v-vertex, so the words equal to
+        a given word differ only inside these blocks, and pulling fails
+        exactly when the needed edge sits behind a block boundary.
+        tests/test_oracles.py checks pulling against a search over fiber
+        and compose on the 2-vertex census and on tg-infinity.
+        """
         if p.is_zero():
             return (self.unit(lam.range), lam)
         if p == lam.degree:
             return (lam, self.unit(lam.source))
-        try:
-            return self._factor_by_pulling(lam, p)
-        except FactorizationError:
-            found = self._factor_by_search(lam, p)
-            return found[0] if len(found) == 1 else found
+        return self._factor_by_pulling(lam, p)
 
-    def _pull_to_front(self, w: list[Name], j: int) -> None:
+    def _pull_to_front(self, w: list[Name], j: int) -> bool:
         """Move the edge at position j to position 0, rewriting each
-        adjacent pair through its square."""
+        adjacent pair through its square; False when a square is missing."""
         while j > 0:
             pair = (w[j - 1], w[j])
             ca, cb = self.edges[pair[0]].color, self.edges[pair[1]].color
             table = self.squares if ca > cb else self._asc_to_desc
             if ca == cb or pair not in table:
-                raise FactorizationError(f"no square to pull {pair[1]} across {pair[0]}")
+                return False
             w[j - 1], w[j] = table[pair]
             j -= 1
+        return True
 
-    def _factor_by_pulling(self, lam: Morphism, p: Degree) -> tuple[Morphism, Morphism]:
+    def _factor_by_pulling(self, lam: Morphism, p: Degree) -> tuple[Morphism, Morphism] | None:
         w = list(lam.word)
         prefix: list[Name] = []
         remaining = list(p.coords)
         while any(remaining):
-            for j, n in enumerate(w):
-                if remaining[self.edges[n].color - 1] > 0:
-                    self._pull_to_front(w, j)
-                    break
-            else:
-                raise FactorizationError(f"{lam} has no prefix of degree {p}")
+            j = next(j for j, n in enumerate(w) if remaining[self.edges[n].color - 1] > 0)
+            if not self._pull_to_front(w, j):
+                return None
             e = w.pop(0)
             prefix.append(e)
             remaining[self.edges[e].color - 1] -= 1
@@ -471,48 +499,23 @@ class KGraph:
         nu = self._from_word(tuple(w)) if w else self.unit(mu.source)
         return (mu, nu)
 
-    def _factor_by_search(self, lam: Morphism, p: Degree) -> list[tuple[Morphism, Morphism]]:
-        """Enumeration fallback for words the squares cannot sort: every
-        (mu, nu) over the materialised fibers with mu.nu = lam."""
-        found: list[tuple[Morphism, Morphism]] = []
-        for mu in self.fiber(lam.range, p).elements:
-            for nu in self.fiber(mu.source, lam.degree.sub(p)).elements:
-                if self.compose(mu, nu) == lam and (mu, nu) not in found:
-                    found.append((mu, nu))
-        return found
-
-    def tails(self, mu: Morphism, lam: Morphism) -> list[Morphism]:
-        """Every nu with mu.nu = lam: the factorisation at d(mu) when it
-        exists, otherwise a search of the fiber below s(mu) unless the
-        failed factorisation already rules mu out."""
-        if not mu.degree.leq(lam.degree):
-            return []
+    def tail(self, mu: Morphism, lam: Morphism) -> Morphism | None:
+        """The nu with mu.nu = lam, or None when mu is no prefix of lam."""
+        if mu.graph is not lam.graph or not mu.degree.leq(lam.degree):
+            return None
         found = self._factorization(lam, mu.degree)
-        if isinstance(found, tuple):
-            return [found[1]] if found[0] == mu else []
-        # mu.nu has the range of mu, and a search that found nothing has
-        # tried every tail after every mu in lam's fiber
-        if mu.range != lam.range or (
-            not found and mu in self.fiber(lam.range, mu.degree).elements
-        ):
-            return []
-        fib = self.fiber(mu.source, lam.degree.sub(mu.degree))
-        return [nu for nu in fib.elements if self.compose(mu, nu) == lam]
+        return found[1] if found is not None and found[0] == mu else None
 
     def prefix_leq(self, mu: Morphism, lam: Morphism) -> bool:
         """mu <= lam in the prefix order: mu.nu = lam for some nu."""
-        return mu.graph is lam.graph and bool(self.tails(mu, lam))
+        return self.tail(mu, lam) is not None
 
     @per_graph
     def prefixes(self, lam: Morphism) -> list[Morphism]:
-        """All prefixes of lam, one per degree below d(lam) when present;
-        where factorisation is not unique, every mu the search found."""
-        out = {}
-        for p in lam.degree.downset():
-            found = self._factorization(lam, p)
-            for mu, _ in [found] if isinstance(found, tuple) else found:
-                out.setdefault(mu, None)
-        return sorted(out, key=Morphism.sort_key)
+        """All prefixes of lam, one per degree below d(lam) where lam
+        has one."""
+        found = (self._factorization(lam, p) for p in lam.degree.downset())
+        return sorted((f[0] for f in found if f is not None), key=Morphism.sort_key)
 
     # -- fibers and enumeration -----------------------------------------
 

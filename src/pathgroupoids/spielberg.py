@@ -343,7 +343,7 @@ def relative_filter_space(graph: KGraph, bound: Degree) -> dict:
         down = [
             mu
             for mu in graph.prefixes(m)
-            if in_far(mu) and any(in_far(nu) for nu in graph.tails(mu, m))
+            if in_far(mu) and in_far(graph.tail(mu, m))
         ]
         return canonical_filter(graph, frozenset(down))
 

@@ -302,3 +302,51 @@ def test_relative_cop_finite_graphs():
 def test_relative_cop_yee():
     rep = al.validate_relative_cop(lambda_yee(2), Degree((1, 1)))
     assert rep["ok"]
+
+
+# -- failure branches of the structure suites ---------------------------------
+
+
+def _only(keep):
+    """An is_fa that answers True exactly on the morphisms `keep` admits."""
+    return lambda m: Verdict.TRUE if keep(m) else Verdict.UNKNOWN_AT_BOUND
+
+
+def _all_infinite(mu, nus):
+    return (al.MceResult(MceKind.DECLARED_INFINITE, ()) for _ in nus)
+
+
+UNITS = _only(lambda m: m.is_unit())
+NON_UNITS = _only(lambda m: not m.is_unit())
+SHORT = _only(lambda m: sum(m.degree.coords) <= 1)
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, suite, key, reason",
+    [
+        ("is_fa", UNITS, al.check_fa_structure, "right_ideal", None),
+        ("is_fa", NON_UNITS, al.check_fa_structure, "final_segments", None),
+        ("is_fa", NON_UNITS, al.check_fa_structure, "closed_under_source", None),
+        ("is_fa", NON_UNITS, al.check_fa_structure, "source_propagation", None),
+        ("_mce_row", _all_infinite, al.check_fa_structure, "mce_inside_fa", "infinite"),
+        ("is_fa", SHORT, al.check_fa_structure, "mce_inside_fa", "J leaves FA"),
+        ("is_fa", SHORT, al.validate_relative_cop, "subcategory", None),
+        ("is_fa", NON_UNITS, al.validate_relative_cop, "subcategory", None),
+        ("_mce_row", _all_infinite, al.validate_relative_cop, "finite_alignment", "infinite"),
+        ("is_fa", SHORT, al.validate_relative_cop, "finite_alignment", "J leaves FAr"),
+        ("is_fa", SHORT, al.validate_relative_cop, "relative_intersection", None),
+    ],
+    ids=[
+        "right-ideal", "final-segments", "closed-under-source", "source-propagation",
+        "mce-infinite", "mce-leaves-fa", "far-composition", "far-source", "far-mce-infinite",
+        "far-mce-leaves-far", "far-intersection",
+    ],
+)
+def test_structure_failure_fires(name, corrupt, suite, key, reason, monkeypatch):
+    """Each failure branch of check_fa_structure and validate_relative_cop
+    fires when one operation of alignment is corrupted on grid(2)."""
+    monkeypatch.setattr(al, name, corrupt)
+    rep = suite(grid(2), B22)
+    assert not rep["ok"] and not rep[key]["ok"], rep[key]
+    if reason is not None:
+        assert {c[-1] for c in rep[key]["counterexamples"]} == {reason}

@@ -99,12 +99,16 @@ def test_cutoff_below_one_is_an_input_error(graph, tmp_path, capsys):
     assert "input error: cutoff must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("graph", catalog_names())
+@pytest.mark.parametrize("graph", catalog_names() + ["document"])
 @pytest.mark.parametrize("option", ["--cutoff", "--blocks"])
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_catalog_rejects_cutoff_and_blocks_below_one(graph, option, value, capsys):
+def test_catalog_rejects_cutoff_and_blocks_below_one(graph, option, value, tmp_path, capsys):
     """Also on the graphs that do not use the value: the report would
     echo it in its config."""
+    if graph == "document":
+        doc = tmp_path / "l.kg"
+        doc.write_text("vertices: a b\nedges:\n  e 1 b -> a\n")
+        graph = str(doc)
     assert main(["validate", "--graph", graph, option, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -248,27 +248,28 @@ def test_prefix_order_examples():
     finite_examples() + [lambda_tg(3), lambda_tg_infinity(2, 2)],
     ids=lambda g: g.name,
 )
-def test_tails_match_brute_force_over_the_fiber(graph):
-    """tails(mu, lam) is exactly the set of nu in the fiber below s(mu)
-    with mu.nu = lam, and prefix_leq is its non-emptiness."""
+def test_tail_matches_brute_force_over_the_fiber(graph):
+    """tail(mu, lam) is the one nu in the fiber below s(mu) with
+    mu.nu = lam, or None when the fiber has none, and prefix_leq is its
+    existence."""
     morphs = _bounded(graph)
-    fallbacks = 0
+    failures = 0
     for mu in morphs:
         for lam in morphs:
-            tails = graph.tails(mu, lam)
+            tail = graph.tail(mu, lam)
+            assert graph.prefix_leq(mu, lam) == (tail is not None)
             if not mu.degree.leq(lam.degree):
-                assert tails == [] and not graph.prefix_leq(mu, lam)
+                assert tail is None
                 continue
             try:
                 graph.factorize(lam, mu.degree)
             except FactorizationError:
-                fallbacks += 1
+                failures += 1
             fiber = graph.fiber(mu.source, lam.degree.sub(mu.degree)).elements
             brute = [nu for nu in fiber if graph.compose(mu, nu) == lam]
-            assert sorted(tails, key=Morphism.sort_key) == brute, (str(mu), str(lam))
-            assert graph.prefix_leq(mu, lam) == bool(brute)
-    # the word category is where factorize gives up and tails searches
-    assert (fallbacks > 0) == (graph.name == "tg-infinity")
+            assert brute == ([] if tail is None else [tail]), (str(mu), str(lam))
+    # only the word category has morphisms without a prefix at some degree
+    assert (failures > 0) == (graph.name == "tg-infinity")
 
 
 def _no_call(*args):
@@ -277,8 +278,8 @@ def _no_call(*args):
 
 def test_factorize_failures_are_cached(monkeypatch):
     """A failed factorisation is remembered: a second pass over the
-    failing pairs of the word category neither searches again nor lets
-    tails scan a fiber for a mu the failure rules out."""
+    failing pairs of the word category neither pulls again, nor composes,
+    nor scans a fiber."""
     graph = lambda_tg_infinity(2, 2)
     morphs = _bounded(graph)
     failing = []
@@ -290,12 +291,12 @@ def test_factorize_failures_are_cached(monkeypatch):
                 except FactorizationError:
                     failing.append((mu, lam))
     assert len(failing) == 96
-    monkeypatch.setattr(graph, "_factor_by_search", _no_call)
-    monkeypatch.setattr(graph, "compose", _no_call)
+    for name in ("_factor_by_pulling", "compose", "fiber"):
+        monkeypatch.setattr(graph, name, _no_call)
     for mu, lam in failing:
         with pytest.raises(FactorizationError, match="no factorisation"):
             graph.factorize(lam, mu.degree)
-        assert graph.tails(mu, lam) == []
+        assert graph.tail(mu, lam) is None
 
 
 def word_graph():
@@ -310,15 +311,17 @@ def word_graph():
     return KGraph("word", 2, [n[v] for v in "xyzpq"], edges, expect_complete=False)
 
 
-def test_tails_trusts_a_search_that_found_nothing(monkeypatch):
+def test_prefix_leq_reads_a_failed_factorisation(monkeypatch):
     """In the word category, c of color 1 shares the range of a.b but is
-    no prefix of it, which the failed search already showed."""
+    no prefix of it: b cannot be pulled across a, and that failed pull
+    alone decides it, without composing or scanning a fiber."""
     graph = word_graph()
     ab, c = graph.morphism("a.b"), graph.morphism("c")
     with pytest.raises(FactorizationError, match="no factorisation"):
         graph.factorize(ab, c.degree)
     monkeypatch.setattr(graph, "compose", _no_call)
-    assert graph.tails(c, ab) == []
+    monkeypatch.setattr(graph, "fiber", _no_call)
+    assert graph.tail(c, ab) is None
     assert not graph.prefix_leq(c, ab)
 
 
@@ -368,7 +371,7 @@ def test_word_memo_agrees_with_the_unmemoised_methods(maker):
         assert got == want, (name, [str(a) for a in args[1:]])
         assert memoised(*args) is got
         returned[name] += 1
-        if isinstance(got, list) and name == "_factorization":
+        if got is None and name == "_factorization":
             for _ in range(2):
                 with pytest.raises(FactorizationError):
                     graph.factorize(*args[1:])

@@ -117,6 +117,14 @@ def test_only_the_fragment_composes_elements():
     assert not found, f"compose_elements called outside fragment: {found}"
 
 
+def test_only_factorization_decides_a_factorisation():
+    """_factor_by_pulling is called only inside KGraph._factorization, so
+    factorize, tail, prefix_leq and prefixes all read one memoised
+    answer, and no other search decides whether a prefix exists."""
+    found = _calls_outside("_factor_by_pulling", "_factorization")
+    assert not found, f"_factor_by_pulling called outside _factorization: {found}"
+
+
 # per_graph finds the graph through the first argument's own ``graph``
 MEMO_KEY_TYPES = {"KGraph", "Morphism", "Filter"}
 

@@ -25,7 +25,7 @@ from pathgroupoids.catalog import (
     squares_graph,
 )
 from pathgroupoids.degree import Degree
-from pathgroupoids.kgraph import KGraph, Morphism, load_presentation
+from pathgroupoids.kgraph import Edge, KGraph, Morphism, Name, load_presentation
 from test_kgraph import word_graph
 
 B22 = Degree((2, 2))
@@ -245,18 +245,128 @@ def test_fa_growth_oracle_on_yee():
         assert not growth_oracle_fa(lambda_yee, name, 2, 4, b11), name
 
 
-def test_factorize_pull_and_search_agree():
-    """Dual-route check on the two factorisation algorithms: the square
-    rewriting pull and the enumeration search must agree on every
-    (morphism, degree) pair of the finite graphs."""
-    for graph in (grid(2), squares_graph()):
-        for lam in graph.all_morphisms():
-            for p in lam.degree.downset():
-                if p.is_zero() or p == lam.degree:
-                    continue  # trivial splits are handled before dispatch
-                by_pull = graph._factor_by_pulling(lam, p)
-                by_search = graph._factor_by_search(lam, p)
-                assert by_search == [by_pull]
+# -- factorisation against the brute-force search ---------------------------
+
+
+def census_presentations():
+    """(edges, squares) for every rank-2 graph on two vertices with at
+    most two edges of each colour and every partial square bijection,
+    one per isomorphism class.  An edge is (colour, source, range) over
+    the vertices 0 and 1; a square pairs a descending and an ascending
+    path, each given by its two edge indices.  Rank 2 needs no
+    associativity check, so every such table presents a word category."""
+    ends = [(s, r) for s in (0, 1) for r in (0, 1)]
+    per_colour = [c for k in range(3) for c in itertools.combinations_with_replacement(ends, k)]
+    classes = {}
+    for ones, twos in itertools.product(per_colour, repeat=2):
+        edges = [(1, s, r) for s, r in ones] + [(2, s, r) for s, r in twos]
+        paths = [
+            (i, j)
+            for i, j in itertools.permutations(range(len(edges)), 2)
+            if edges[i][1] == edges[j][2] and edges[i][0] != edges[j][0]
+        ]
+        for squares in _square_tables(edges, paths):
+            classes.setdefault(_census_key(edges, squares), (edges, squares))
+    return list(classes.values())
+
+
+def _square_tables(edges, paths):
+    """Every partial bijection between the descending and the ascending
+    paths that pairs paths with the same range and source."""
+    ends = {(i, j): (edges[i][2], edges[j][1]) for i, j in paths}
+    descending = [p for p in paths if edges[p[0]][0] == 2]
+    ascending = [p for p in paths if edges[p[0]][0] == 1]
+
+    def tables(k, free):
+        if k == len(descending):
+            yield ()
+            return
+        d = descending[k]
+        yield from tables(k + 1, free)
+        for a in free:
+            if ends[a] == ends[d]:
+                for rest in tables(k + 1, free - {a}):
+                    yield ((d, a),) + rest
+
+    return tables(0, frozenset(ascending))
+
+
+def _census_key(edges, squares):
+    """The least relabelling of a census presentation over the vertex
+    swaps and the orders of the edges that keep colour 1 first."""
+    keys = []
+    for vertex in itertools.permutations((0, 1)):
+        for order in itertools.permutations(range(len(edges))):
+            if [edges[i][0] for i in order] != sorted(e[0] for e in edges):
+                continue
+            at = {old: new for new, old in enumerate(order)}
+            relabelled = tuple((c, vertex[s], vertex[r]) for c, s, r in (edges[i] for i in order))
+            table = sorted(tuple(tuple(at[i] for i in path) for path in sq) for sq in squares)
+            keys.append((relabelled, tuple(table)))
+    return min(keys)
+
+
+def census_graph(edges, squares):
+    names = [Name(f"e{i}") for i in range(len(edges))]
+    x, y = Name("x"), Name("y")
+    return KGraph(
+        "census",
+        2,
+        [x, y],
+        [Edge(names[i], c, (x, y)[s], (x, y)[r]) for i, (c, s, r) in enumerate(edges)],
+        [tuple(tuple(names[i] for i in path) for path in sq) for sq in squares],
+        expect_complete=False,
+    )
+
+
+def searched_factorisations(graph, bound):
+    """(lam, p) -> every (mu, nu) with mu.nu = lam and d(mu) = p, by a
+    search over the fibers and compose: the factorisation algorithm that
+    the engine does not use."""
+    found = {}
+    for mu in graph.enumerate_morphisms(bound).morphisms:
+        for q in bound.sub(mu.degree).downset():
+            for nu in graph.fiber(mu.source, q).elements:
+                found.setdefault((graph.compose(mu, nu), mu.degree), []).append((mu, nu))
+    return found
+
+
+def assert_factorisation_matches_the_search(graph, bound):
+    """Every (lam, p) with p <= d(lam) <= bound: the search finds exactly
+    the engine's factorisation, or nothing when the engine has none.
+    Returns the number of pairs checked and of pairs without one."""
+    searched = searched_factorisations(graph, bound)
+    pairs = missing = 0
+    for lam in graph.enumerate_morphisms(bound).morphisms:
+        for p in lam.degree.downset():
+            found = graph._factorization(lam, p)
+            want = [] if found is None else [found]
+            assert searched.get((lam, p), []) == want, (str(lam), p.coords)
+            pairs += 1
+            missing += found is None
+    return pairs, missing
+
+
+def test_census_factorisations_match_the_search():
+    """Pulling through the squares finds every factorisation that exists,
+    on every 2-vertex census graph at (2, 2): complete and incomplete
+    square tables alike."""
+    presentations = census_presentations()
+    assert len(presentations) == 260
+    pairs = missing = 0
+    for edges, squares in presentations:
+        checked = assert_factorisation_matches_the_search(census_graph(edges, squares), B22)
+        pairs, missing = pairs + checked[0], missing + checked[1]
+    assert (pairs, missing) == (63877, 16884)
+
+
+@pytest.mark.parametrize(
+    "blocks, cutoff, bound", [(2, 3, (2, 2)), (3, 2, (3, 3))], ids=["2-3-b22", "3-2-b33"]
+)
+def test_tg_infinity_factorisations_match_the_search(blocks, cutoff, bound):
+    graph = lambda_tg_infinity(blocks, cutoff)
+    pairs, missing = assert_factorisation_matches_the_search(graph, Degree(bound))
+    assert missing > 0
 
 
 def by_range(graph, bound):
@@ -440,8 +550,9 @@ MCE_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(MCE_GRAPHS))
 def test_row_kernel_matches_the_per_pair_mce(name, monkeypatch):
     """Kind, elements and family agree pair by pair, for whole rows and
-    for single pairs.  The kernel tests a prefix only for extensions
-    without a unique factorisation, which only the word category has."""
+    for single pairs.  The kernel never tests a prefix: an extension
+    without a degree-p prefix, which only the word categories have, lies
+    above no nu of degree p."""
     graph = MCE_GRAPHS[name]()
     morphs = graph.enumerate_morphisms(B22 if graph.rank == 2 else Degree((3,))).morphisms
     prefix_tests = []
@@ -449,19 +560,15 @@ def test_row_kernel_matches_the_per_pair_mce(name, monkeypatch):
     monkeypatch.setattr(
         KGraph, "prefix_leq", lambda *args: prefix_tests.append(1) or prefix_leq(*args)
     )
-    fallback = set()
     for mu in morphs:
         row = al._mce_row(mu, morphs)
         for nu in morphs:
             before = len(prefix_tests)
             got = next(row)
-            if len(prefix_tests) > before:
-                fallback.add((str(mu), str(nu)))
+            assert len(prefix_tests) == before, (str(mu), str(nu))
             want = per_pair_mce(mu, nu)
             assert got == want, (str(mu), str(nu))
             assert al.mce(mu, nu) == want, (str(mu), str(nu))
-    expected = {("a", "c"), ("c", "a"), ("a.b", "c"), ("c.d", "a")} if name == "word" else set()
-    assert fallback == expected
 
 
 FA_EXTENSION_GRAPHS = [*finite_examples(), lambda_tg(3), lambda_yee(3)]

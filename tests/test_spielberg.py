@@ -294,6 +294,22 @@ def test_iso_check_failure_fires(corrupt, labels, monkeypatch):
     assert set(labels) <= {f.split("'")[1] for f in rep["failures"]}, rep["failures"]
 
 
+@pytest.mark.parametrize(
+    "check, name, corrupt",
+    [
+        (sp.check_e_hat_equals_cylinders, "e_hat_membership", lambda x, e: True),
+        (sp.check_topology_coincides, "reduce_exclusions", lambda graph, mu, zetas: []),
+    ],
+    ids=["e-hat-is-everything", "no-reduced-exclusions"],
+)
+def test_basis_check_failure_fires(check, name, corrupt, monkeypatch):
+    """The cylinder/E-hat comparisons fail when the E-hat sets or the
+    reduced exclusions are corrupted."""
+    monkeypatch.setattr(sp, name, corrupt)
+    rep = check(grid(2), Degree((1, 1)))
+    assert not rep["ok"] and rep["counterexamples"]
+
+
 def _line_element(g) -> tuple:
     return frozenset(map(str, g.x.elements)), g.q, frozenset(map(str, g.y.elements))
 
